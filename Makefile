@@ -1,7 +1,7 @@
 # Convenience targets around the go toolchain; everything here is plain
 # `go test` underneath.
 
-.PHONY: build test race bench bench-ilp profile-ilp bench-portfolio bench-service bench-sweep bench-fanout integration chaos chaos-cluster chaos-batch
+.PHONY: build test race bench bench-ilp profile-ilp bench-portfolio bench-service bench-sweep integration chaos chaos-cluster
 
 build:
 	go build ./...
@@ -67,12 +67,6 @@ bench-service:
 bench-sweep:
 	go test -run NoTests -bench BenchmarkSweep -benchtime 1x ./internal/service
 
-# Fan-out sweep benchmark: the 64-point GSM sweep batch on one node
-# versus the same batch ring-routed across a 3-node in-process cluster.
-# Merges into BENCH_sweep.json (override with BENCH_SWEEP_OUT).
-bench-fanout:
-	go test -run NoTests -bench BenchmarkSweepFanout -benchtime 1x ./internal/cluster
-
 # End-to-end partitad test: builds the daemon, starts it on an
 # ephemeral port, and round-trips a GSM job over HTTP.
 integration:
@@ -80,7 +74,10 @@ integration:
 
 # Kill-and-restart chaos test: SIGKILLs a journaled daemon mid-sweep
 # and asserts the restart loses no accepted job and regresses no
-# journaled incumbent. PARTITAD_CHAOS_SEED varies the fault seed.
+# journaled incumbent. A 24-point GSM sweep batch killed partly done
+# must finish with no failed point, and its identical resubmit must be
+# answered from the cache without a solve. PARTITAD_CHAOS_SEED varies
+# the fault seed.
 chaos:
 	PARTITAD_CHAOS=1 go test -race -run TestKillRestartChaos -v ./client
 
@@ -93,15 +90,3 @@ chaos:
 # journals and per-node logs for artifact upload.
 chaos-cluster:
 	PARTITAD_CLUSTER_CHAOS=1 go test -race -run TestClusterKillChaos -v -timeout 10m ./client
-
-# Batch fan-out chaos test: boots a 3-node ring with -batch-fanout,
-# submits a 24-point sweep batch under injected dispatch faults,
-# SIGKILLs the peer owning the largest point group mid-batch, and
-# asserts every point terminal (zero lost, zero failed — the dead
-# owner's points requeue locally), then kills and restarts the
-# journaled coordinator and asserts the batch is restored terminal and
-# the identical resubmit solves zero points twice.
-# PARTITAD_CHAOS_SEED varies the fault seed; PARTITAD_CHAOS_DIR pins
-# journals and per-node logs for artifact upload.
-chaos-batch:
-	PARTITAD_BATCH_CHAOS=1 go test -race -run TestBatchFanoutChaos -v -timeout 10m ./client

@@ -4,7 +4,11 @@ package client
 // SIGKILLed mid-sweep, the journal is inspected for the accepted jobs
 // and their last checkpointed incumbents, and a restarted daemon must
 // finish every accepted job with a final area no worse than its last
-// journaled incumbent. Gated behind PARTITAD_CHAOS=1 because it builds
+// journaled incumbent. A 24-point GSM sweep batch runs beside the jobs
+// and is killed partly done: after the restart it must reach its
+// summary with no failed point, and its identical resubmit must be
+// answered entirely from the replayed cache without starting a solve.
+// Gated behind PARTITAD_CHAOS=1 because it builds
 // and launches (and kills) the daemon; run with `make chaos` or:
 //
 //	PARTITAD_CHAOS=1 go test -race -run TestKillRestartChaos ./client
@@ -114,6 +118,28 @@ func TestKillRestartChaos(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	c1 := New(d1.base, WithJitterSeed(1))
+
+	// The batch goes in first so one worker takes it at once. Its points
+	// run through the sweep pipeline, which the stall does not slow, so
+	// the GSM model's solves are what keep it in flight at the kill.
+	av, err := c1.Submit(ctx, JobSpec{Kind: KindAnalyze, Workload: "gsm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if av, err = c1.Wait(ctx, av.ID); err != nil || av.Result == nil || av.Result.Analyze == nil {
+		t.Fatalf("gsm analysis: %+v, %v", av, err)
+	}
+	const batchPoints = 24
+	bspec := BatchSpec{Defaults: JobSpec{Workload: "gsm"}}
+	for i := 1; i <= batchPoints; i++ {
+		bspec.Points = append(bspec.Points, BatchPoint{RequiredGain: av.Result.Analyze.MaxReachableGain * int64(i) / batchPoints})
+	}
+	bv, err := c1.SubmitBatch(ctx, bspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchID := bv.ID
+
 	const jobs = 24
 	var ids []string
 	for i := 0; i < jobs; i++ {
@@ -124,7 +150,8 @@ func TestKillRestartChaos(t *testing.T) {
 		ids = append(ids, v.ID)
 	}
 
-	// Let part of the sweep finish, then pull the plug.
+	// Let part of the sweep and part of the batch finish, then pull the
+	// plug.
 	killAt := time.Now().Add(30 * time.Second)
 	for {
 		views, err := c1.List(ctx)
@@ -137,12 +164,21 @@ func TestKillRestartChaos(t *testing.T) {
 				finished++
 			}
 		}
-		if finished >= 5 || time.Now().After(killAt) {
+		if bv, err = c1.Batch(ctx, batchID); err != nil {
+			t.Fatal(err)
+		}
+		batchStarted := bv.Remaining < bv.Total
+		if (finished >= 5 && batchStarted) || bv.Remaining == 0 || time.Now().After(killAt) {
 			break
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 	d1.kill(t)
+	if bv.Remaining == 0 {
+		t.Logf("warning: the batch finished before the kill; partial-batch replay not exercised")
+	} else {
+		t.Logf("killed with batch %d/%d points done", bv.Total-bv.Remaining, bv.Total)
+	}
 
 	// The journal is the contract: every acked job has a fsync'd submit
 	// record, and checkpoints record the incumbents the restart must not
@@ -174,15 +210,19 @@ func TestKillRestartChaos(t *testing.T) {
 			}
 		}
 	}
+	finished := 0
 	for _, id := range ids {
 		if !submitted[id] {
 			t.Errorf("acked job %s has no journaled submit record", id)
 		}
+		if doneAtKill[id] {
+			finished++
+		}
 	}
-	if len(doneAtKill) >= jobs {
+	if finished >= jobs {
 		t.Logf("warning: all %d jobs finished before the kill; requeue path not exercised (raise stall delay)", jobs)
 	} else {
-		t.Logf("killed with %d/%d finished, %d checkpoints", len(doneAtKill), jobs, len(lastCkpt))
+		t.Logf("killed with %d/%d finished, %d checkpoints", finished, jobs, len(lastCkpt))
 	}
 
 	// Restart on the same journal, faults off: every accepted job must
@@ -209,6 +249,32 @@ func TestKillRestartChaos(t *testing.T) {
 	}
 	if lost > 0 {
 		t.Errorf("%d of %d accepted jobs lost (journal kept at %s)", lost, len(ids), wal)
+	}
+
+	// The batch killed mid-flight finishes after the restart, none of its
+	// points failed, and the identical resubmit starts no solve.
+	sctx, scancel := context.WithTimeout(ctx, time.Minute)
+	_, err = c2.StreamBatch(sctx, batchID, 0, func(BatchEvent) error { return nil })
+	scancel()
+	if err != nil {
+		t.Fatalf("batch %s did not finish after restart: %v", batchID, err)
+	}
+	if bv, err = c2.Batch(ctx, batchID); err != nil {
+		t.Fatal(err)
+	}
+	if bv.Status != StatusDone || bv.Summary == nil || bv.Summary.Failed != 0 {
+		t.Errorf("batch after restart: status %s, summary %+v", bv.Status, bv.Summary)
+	}
+	before := scrapeMetric(t, d2.base, "partitad_solves_started_total")
+	again, err := c2.SubmitBatch(ctx, bspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Status != StatusDone || again.Summary == nil || again.Summary.Cached != batchPoints {
+		t.Errorf("identical batch resubmit not fully cached: status %s, summary %+v", again.Status, again.Summary)
+	}
+	if after := scrapeMetric(t, d2.base, "partitad_solves_started_total"); after != before {
+		t.Errorf("identical batch resubmit started solves: %v -> %v", before, after)
 	}
 	if t.Failed() {
 		t.Logf("journal preserved for inspection: %s", wal)

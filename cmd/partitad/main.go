@@ -19,10 +19,6 @@
 //	         [-probe-timeout 1s] [-peer-fail-after 3]
 //	         [-peer-pass-after 2] [-forward-timeout 10s]
 //	         [-peek-timeout 300ms]
-//	         [-batch-fanout] [-batch-lease 30s] [-fanout-parallel 8]
-//	         [-point-timeout 10s] [-point-retries 2]
-//	         [-point-backoff 100ms] [-point-backoff-cap 2s]
-//	         [-breaker-fails 3] [-breaker-cooldown 5s]
 //	         [-faults spec]
 //
 // Jobs may request solver-level parallelism with their "parallelism"
@@ -67,14 +63,9 @@
 // Last-Event-ID — with a JSON long-poll fallback (?after=N&wait=10s)
 // for clients that cannot hold a streaming connection. -max-batch-points,
 // -max-batch-bytes (413 when exceeded), and -max-batches bound the
-// surface. On a clustered node with -batch-fanout, pending points are
-// ring-routed to their owners under journaled leases with per-point
-// timeout, retry/backoff, and a per-peer circuit breaker; any dispatch
-// failure (peer death, lease expiry, partition) requeues the point
-// locally, so the receiving node always finishes its batch. Without
-// -batch-fanout batches execute locally, but per-point results still
-// land in the shared result cache either way. See docs/SERVICE.md
-// ("Batch sweeps & streaming", "Distributed batches").
+// surface. A clustered node runs its batches locally too; per-point
+// results reach the other nodes through the cross-node result cache.
+// See docs/SERVICE.md ("Batch sweeps & streaming").
 //
 // -faults (or the PARTITAD_FAULTS environment variable) enables the
 // deterministic fault-injection layer for chaos testing, e.g.
@@ -92,7 +83,6 @@
 //	GET  /v1/jobs               list tracked jobs (cluster-wide when clustered)
 //	GET  /v1/jobs/{id}          poll one job (?wait=10s long-polls)
 //	POST /v1/jobs/{id}/edits    derive a portfolio re-solve from a finished select job
-
 //	POST /v1/batches            submit a batch of sweep points (service.BatchSpec JSON)
 //	GET  /v1/batches            list tracked batches
 //	GET  /v1/batches/{id}       one batch snapshot with per-point rows (?points=0 omits)
@@ -149,15 +139,6 @@ func main() {
 	peerPassAfter := flag.Int("peer-pass-after", 0, "consecutive probe successes before a dead peer rejoins (0 = default 2)")
 	forwardTimeout := flag.Duration("forward-timeout", 0, "timeout of one forwarded submit (0 = default 10s)")
 	peekTimeout := flag.Duration("peek-timeout", 0, "budget for peeking peer result caches before solving (0 = default 300ms)")
-	batchFanout := flag.Bool("batch-fanout", false, "ring-route batch points to their owners (cluster mode only)")
-	batchLease := flag.Duration("batch-lease", 0, "per-point lease deadline for fanned-out batch points (0 = default 30s)")
-	fanoutParallel := flag.Int("fanout-parallel", 0, "concurrent remote point dispatches per batch (0 = default 8)")
-	pointTimeout := flag.Duration("point-timeout", 0, "timeout of one remote point dispatch attempt (0 = default 10s)")
-	pointRetries := flag.Int("point-retries", 0, "retries per remote point dispatch before local requeue (0 = default 2, negative = none)")
-	pointBackoff := flag.Duration("point-backoff", 0, "base backoff between point dispatch retries (0 = default 100ms)")
-	pointBackoffCap := flag.Duration("point-backoff-cap", 0, "backoff cap between point dispatch retries (0 = default 2s)")
-	breakerFails := flag.Int("breaker-fails", 0, "consecutive dispatch failures that open a peer's work circuit (0 = default 3)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open work circuit rejects dispatches (0 = default 5s)")
 	faultSpec := flag.String("faults", "", "fault-injection spec (default: $"+faults.EnvVar+"; chaos testing only)")
 	flag.Parse()
 
@@ -190,16 +171,10 @@ func main() {
 				FailAfter: *peerFailAfter,
 				PassAfter: *peerPassAfter,
 			},
-			ForwardTimeout:  *forwardTimeout,
-			PeekTimeout:     *peekTimeout,
-			PointTimeout:    *pointTimeout,
-			PointRetries:    *pointRetries,
-			PointBackoff:    *pointBackoff,
-			PointBackoffCap: *pointBackoffCap,
-			BreakerFailures: *breakerFails,
-			BreakerCooldown: *breakerCooldown,
-			Faults:          inj,
-			Logf:            log.Printf,
+			ForwardTimeout: *forwardTimeout,
+			PeekTimeout:    *peekTimeout,
+			Faults:         inj,
+			Logf:           log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("partitad: %v", err)
@@ -221,21 +196,12 @@ func main() {
 		MaxBatches:      *maxBatches,
 		JournalPath:     *journalPath,
 		JournalSync:     syncPolicy,
-		BatchLease:      *batchLease,
-		FanoutParallel:  *fanoutParallel,
 		Faults:          inj,
 	}
 	if node != nil {
 		cfg.NodeName = node.NodeName()
 		cfg.RemoteLookup = node.RemoteLookup
 		cfg.OwnerOf = node.OwnerOf
-		if *batchFanout {
-			cfg.BatchFanout = true
-			cfg.RoutePoint = node.RoutePoint
-			cfg.RemoteSolve = node.RemoteSolve
-		}
-	} else if *batchFanout {
-		log.Fatalf("partitad: -batch-fanout requires cluster mode (-peers/-self)")
 	}
 	srv, err := service.Open(cfg)
 	if err != nil {

@@ -18,12 +18,6 @@ type Metrics struct {
 	peerCacheHits   atomic.Uint64
 	peerCacheMisses atomic.Uint64
 	probeFailures   atomic.Uint64
-
-	// Batch fan-out work-client counters (see work.go).
-	remoteDispatches       atomic.Uint64
-	remoteDispatchFailures atomic.Uint64
-	remoteRetries          atomic.Uint64
-	breakerOpens           atomic.Uint64
 }
 
 // write renders the cluster metric section in Prometheus text format.
@@ -48,10 +42,6 @@ func (m *Metrics) write(w io.Writer, statuses []PeerStatus) {
 	fmt.Fprintf(w, "# HELP partitad_cluster_peer_cache_hits_total Solves avoided because a peer's result cache answered.\n# TYPE partitad_cluster_peer_cache_hits_total counter\npartitad_cluster_peer_cache_hits_total %d\n", m.peerCacheHits.Load())
 	fmt.Fprintf(w, "# HELP partitad_cluster_peer_cache_misses_total Peer cache peeks that found no result anywhere.\n# TYPE partitad_cluster_peer_cache_misses_total counter\npartitad_cluster_peer_cache_misses_total %d\n", m.peerCacheMisses.Load())
 	fmt.Fprintf(w, "# HELP partitad_cluster_probe_failures_total Health probes that failed.\n# TYPE partitad_cluster_probe_failures_total counter\npartitad_cluster_probe_failures_total %d\n", m.probeFailures.Load())
-	fmt.Fprintf(w, "# HELP partitad_cluster_point_dispatches_total Batch-point dispatch attempts sent to ring peers.\n# TYPE partitad_cluster_point_dispatches_total counter\npartitad_cluster_point_dispatches_total %d\n", m.remoteDispatches.Load())
-	fmt.Fprintf(w, "# HELP partitad_cluster_point_dispatch_failures_total Batch-point dispatch attempts that failed.\n# TYPE partitad_cluster_point_dispatch_failures_total counter\npartitad_cluster_point_dispatch_failures_total %d\n", m.remoteDispatchFailures.Load())
-	fmt.Fprintf(w, "# HELP partitad_cluster_point_retries_total Batch-point dispatch retries.\n# TYPE partitad_cluster_point_retries_total counter\npartitad_cluster_point_retries_total %d\n", m.remoteRetries.Load())
-	fmt.Fprintf(w, "# HELP partitad_cluster_breaker_opens_total Per-peer work circuits opened.\n# TYPE partitad_cluster_breaker_opens_total counter\npartitad_cluster_breaker_opens_total %d\n", m.breakerOpens.Load())
 }
 
 func b2i(b bool) int {

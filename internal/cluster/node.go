@@ -42,23 +42,6 @@ type Config struct {
 	// PeekTimeout bounds one peer result-cache peek across all peers
 	// (default 300ms — a peek must stay far cheaper than a solve).
 	PeekTimeout time.Duration
-	// PointTimeout bounds one remote batch-point dispatch attempt,
-	// submit plus polls (default 10s).
-	PointTimeout time.Duration
-	// PointRetries is how many times a failed point dispatch is retried
-	// against the same peer before the point requeues locally (default
-	// 2; negative disables retries).
-	PointRetries int
-	// PointBackoff is the base delay between point dispatch retries,
-	// doubled per attempt with jitter, capped at PointBackoffCap
-	// (defaults 100ms and 2s).
-	PointBackoff    time.Duration
-	PointBackoffCap time.Duration
-	// BreakerFailures is how many consecutive dispatch failures open a
-	// peer's work circuit (default 3); BreakerCooldown is how long the
-	// circuit stays open before a half-open probe (default 5s).
-	BreakerFailures int
-	BreakerCooldown time.Duration
 	// Faults is the optional fault injector shared with the service
 	// (peer.timeout, peer.5xx, peer.partition).
 	Faults *faults.Injector
@@ -72,26 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PeekTimeout <= 0 {
 		c.PeekTimeout = 300 * time.Millisecond
-	}
-	if c.PointTimeout <= 0 {
-		c.PointTimeout = 10 * time.Second
-	}
-	if c.PointRetries == 0 {
-		c.PointRetries = 2
-	} else if c.PointRetries < 0 {
-		c.PointRetries = 0
-	}
-	if c.PointBackoff <= 0 {
-		c.PointBackoff = 100 * time.Millisecond
-	}
-	if c.PointBackoffCap <= 0 {
-		c.PointBackoffCap = 2 * time.Second
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -108,11 +71,10 @@ type Node struct {
 	self   string
 	names  map[string]string // peer URL → short node name
 	urls   map[string]string // short node name → peer URL
-	ring    *Ring
-	prober  *Prober
-	breaker *breaker
-	hc      *http.Client
-	inj     *faults.Injector
+	ring   *Ring
+	prober *Prober
+	hc     *http.Client
+	inj    *faults.Injector
 
 	metrics *Metrics
 	mux     *http.ServeMux
@@ -146,7 +108,6 @@ func New(cfg Config) (*Node, error) {
 		names:   map[string]string{},
 		urls:    map[string]string{},
 		ring:    ring,
-		breaker: newBreaker(cfg.BreakerFailures, cfg.BreakerCooldown),
 		hc:      &http.Client{},
 		inj:     cfg.Faults,
 		metrics: &Metrics{},

@@ -67,12 +67,6 @@ func (n *testNode) kill() { n.ts.Close() }
 // startCluster boots size in-process nodes that know each other by
 // their pre-reserved listener addresses.
 func startCluster(t testing.TB, size int, probe ProbeConfig, inj *faults.Injector) []*testNode {
-	return startClusterOpts(t, size, probe, inj, false)
-}
-
-// startClusterOpts is startCluster with batch fan-out optionally wired
-// into every node's service core (used by the fan-out benchmarks).
-func startClusterOpts(t testing.TB, size int, probe ProbeConfig, inj *faults.Injector, fanout bool) []*testNode {
 	t.Helper()
 	listeners := make([]net.Listener, size)
 	peers := make([]string, size)
@@ -97,18 +91,12 @@ func startClusterOpts(t testing.TB, size int, probe ProbeConfig, inj *faults.Inj
 		if err != nil {
 			t.Fatal(err)
 		}
-		scfg := service.Config{
+		srv, err := service.Open(service.Config{
 			Workers:      2,
 			NodeName:     node.NodeName(),
 			RemoteLookup: node.RemoteLookup,
 			OwnerOf:      node.OwnerOf,
-		}
-		if fanout {
-			scfg.BatchFanout = true
-			scfg.RoutePoint = node.RoutePoint
-			scfg.RemoteSolve = node.RemoteSolve
-		}
-		srv, err := service.Open(scfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,17 +60,6 @@ const (
 	// PeerPartition fails every outbound peer call — forwards, cache
 	// peeks, and health probes — as if the network were cut.
 	PeerPartition = "peer.partition"
-	// RemotePointTimeout stalls one remote batch-point dispatch attempt
-	// until it fails (see RemotePointTimeoutDelay), exercising the
-	// lease-expiry and local-requeue paths of batch fan-out.
-	RemotePointTimeout = "remote.point.timeout"
-	// RemotePointTimeoutDelay configures the injected dispatch stall
-	// (default 250ms).
-	RemotePointTimeoutDelay = "remote.point.timeout.delay"
-	// RemotePoint5xx fails one remote batch-point dispatch attempt with
-	// an injected 502, exercising the retry/backoff and circuit-breaker
-	// paths of batch fan-out.
-	RemotePoint5xx = "remote.point.5xx"
 )
 
 // point is one configured injection point: a firing probability and an

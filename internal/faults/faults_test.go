@@ -61,15 +61,21 @@ func TestParseErrors(t *testing.T) {
 // Unknown point names are not a parse error: injection points are
 // caller-defined strings, so a spec may configure points this build
 // never consults. They parse, count as configured, and simply never
-// fire unless something asks for them by name.
+// fire unless something asks for them by name. A retired point name
+// (remote.point.5xx belonged to the removed batch fan-out) is one such
+// name: it stays listed in Points, which partitad prints in its
+// startup fault-injection banner, so a stale spec is visible there.
 func TestParseUnknownPointNames(t *testing.T) {
-	i, err := Parse("seed=9,no.such.point=1,future.fault=0.5,future.fault.delay=10ms")
+	i, err := Parse("seed=9,no.such.point=1,future.fault=0.5,future.fault.delay=10ms,remote.point.5xx=1")
 	if err != nil {
 		t.Fatalf("Parse rejected unknown point names: %v", err)
 	}
 	pts := i.Points()
-	if len(pts) != 3 {
-		t.Fatalf("Points = %v, want 3 configured points", pts)
+	if len(pts) != 4 {
+		t.Fatalf("Points = %v, want 4 configured points", pts)
+	}
+	if !strings.Contains(strings.Join(pts, ","), "remote.point.5xx") {
+		t.Errorf("retired point name missing from Points: %v", pts)
 	}
 	if !i.Fire("no.such.point") {
 		t.Error("configured probability-1 point did not fire, even though its name is unknown to the service")

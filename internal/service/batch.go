@@ -136,10 +136,6 @@ const (
 	// was proven by a looser point of the same program (plateau reuse or
 	// propagated infeasibility).
 	DispositionReused = "reused"
-	// DispositionRemote: solved by the point's ring owner under a
-	// dispatch lease (batch fan-out); the result came back over the
-	// cluster work client.
-	DispositionRemote = "remote"
 	// DispositionFailed: the point errored.
 	DispositionFailed = "failed"
 )
@@ -156,9 +152,6 @@ type BatchPointResult struct {
 	// Memoized records whether the point's result entered the result
 	// cache (replay restores those entries).
 	Memoized bool `json:"memoized,omitempty"`
-	// Node names the peer that solved a remotely-dispatched point
-	// (empty for local dispositions).
-	Node string `json:"node,omitempty"`
 }
 
 // BatchSummary is the terminal accounting of a batch: how many points
@@ -170,10 +163,8 @@ type BatchSummary struct {
 	Duplicates int   `json:"duplicates"`
 	Solved     int   `json:"solved"`
 	Reused     int   `json:"reused"`
-	// Remote counts points solved by their ring owners via fan-out.
-	Remote    int   `json:"remote,omitempty"`
-	Failed    int   `json:"failed"`
-	ElapsedMs int64 `json:"elapsedMs"`
+	Failed     int   `json:"failed"`
+	ElapsedMs  int64 `json:"elapsedMs"`
 	// Draining marks a batch finished under a server drain: unfinished
 	// points degraded to their best incumbents and nothing was memoized.
 	Draining bool `json:"draining,omitempty"`
@@ -194,9 +185,6 @@ type BatchPointView struct {
 	Disposition  string `json:"disposition"`
 	Status       string `json:"status,omitempty"`
 	Error        string `json:"error,omitempty"`
-	// Node names the peer that solved (or, while leased, holds) a
-	// remotely-dispatched point.
-	Node string `json:"node,omitempty"`
 }
 
 // BatchView is the JSON snapshot served by the batch endpoints.
@@ -209,10 +197,10 @@ type BatchView struct {
 	Remaining int `json:"remaining"`
 	// LastEventID is the newest event in the batch's log; streams resume
 	// from any earlier ID.
-	LastEventID uint64     `json:"lastEventId"`
-	Recovered   bool       `json:"recovered,omitempty"`
-	SubmittedAt time.Time  `json:"submittedAt"`
-	FinishedAt  *time.Time `json:"finishedAt,omitempty"`
+	LastEventID uint64           `json:"lastEventId"`
+	Recovered   bool             `json:"recovered,omitempty"`
+	SubmittedAt time.Time        `json:"submittedAt"`
+	FinishedAt  *time.Time       `json:"finishedAt,omitempty"`
 	Summary     *BatchSummary    `json:"summary,omitempty"`
 	Points      []BatchPointView `json:"points,omitempty"`
 }
@@ -229,9 +217,6 @@ type batchPoint struct {
 	sel         *SelectionResult
 	errMsg      string
 	memoized    bool
-	// node names the peer holding the point's dispatch lease while in
-	// flight, then the peer that solved it (empty for local points).
-	node string
 }
 
 // Batch is one tracked batch submission. Point state and the event log
@@ -325,7 +310,6 @@ func (b *Batch) View(withPoints bool) BatchView {
 				Done:         p.done,
 				Disposition:  p.disposition,
 				Error:        p.errMsg,
-				Node:         p.node,
 			}
 			if p.sel != nil {
 				pv.Status = p.sel.Status
@@ -358,8 +342,6 @@ func (b *Batch) summaryLocked() BatchSummary {
 			s.Solved++
 		case DispositionReused:
 			s.Reused++
-		case DispositionRemote:
-			s.Remote++
 		case DispositionFailed:
 			s.Failed++
 		}
@@ -385,7 +367,6 @@ func (b *Batch) result() *BatchResult {
 			Selection:    p.sel,
 			Error:        p.errMsg,
 			Memoized:     p.memoized,
-			Node:         p.node,
 		}
 	}
 	return out
@@ -654,7 +635,6 @@ func (s *Server) completeBatchPoint(b *Batch, i int, disposition string, sel *Se
 				Selection:    sel,
 				Error:        errMsg,
 				Memoized:     p.memoized,
-				Node:         p.node,
 			},
 		})
 	}
@@ -712,24 +692,13 @@ func batchJournalJob(b *Batch) *Job {
 	return &Job{ID: b.ID, Key: b.Key}
 }
 
-// fanoutEnabled reports whether batch points may be ring-routed to
-// remote peers: the flag plus both cluster hooks must be present.
-func (s *Server) fanoutEnabled() bool {
-	return s.cfg.BatchFanout && s.cfg.RoutePoint != nil && s.cfg.RemoteSolve != nil
-}
-
 // runBatch executes one batch job on a worker. Pending points are
 // re-checked against the result cache (another batch or job may have
-// answered them since submit), then routed: with fan-out enabled, each
-// point whose ring owner is a live remote peer is dispatched there
-// under a journaled lease, concurrently with the local pipeline that
-// drives the rest. Any dispatch that fails — per-point timeout and
-// retry budget spent, peer evicted, lease expired — requeues its point
-// onto the local pipeline, so the local solver pool is always the last
-// resort and a fully partitioned node still finishes its batch, only
-// slower. The worker returns when every routed point is terminal;
-// coalesced points may still be in flight on other workers, in which
-// case their waiter goroutines finalize the batch.
+// answered them since submit), then grouped by program identity and
+// budget, each group sharing one analysis and one sweep pipeline. The
+// worker returns when every grouped point is terminal; coalesced points
+// may still be in flight on other workers, in which case their waiter
+// goroutines finalize the batch.
 func (s *Server) runBatch(job *Job) {
 	b := job.batch
 	s.busy.Add(1)
@@ -746,7 +715,7 @@ func (s *Server) runBatch(job *Job) {
 			}
 			b.mu.Unlock()
 			for _, i := range open {
-				s.finishBatchPoint(job, i, DispositionFailed, nil, errMsg, false, "")
+				s.finishBatchPoint(job, i, DispositionFailed, nil, errMsg, false)
 			}
 			s.metrics.PanicRecovered()
 		}
@@ -763,100 +732,21 @@ func (s *Server) runBatch(job *Job) {
 	}
 	b.mu.Unlock()
 
-	// Route: cache re-check first (a point solved since submit never
-	// travels), then ring ownership by point key.
-	fanout := s.fanoutEnabled()
-	var local, remote []int
-	var peers []string
-	for _, i := range pending {
-		p := b.points[i]
-		if v, ok := s.results.Get(p.key); ok {
-			s.finishBatchPoint(job, i, DispositionCached, selectionOf(v.(*JobResult)), "", false, "")
-			continue
-		}
-		if fanout {
-			if peer, ok := s.cfg.RoutePoint(p.key); ok {
-				remote = append(remote, i)
-				peers = append(peers, peer)
-				continue
-			}
-		}
-		local = append(local, i)
-	}
-
-	ctx, stop := withDrain(context.Background(), s.drain)
-	defer stop()
-
-	// Remote dispatch runs concurrently with the local pipeline, capped
-	// by FanoutParallel; failed dispatches accumulate on the requeue
-	// list and run locally after both finish.
-	var wg sync.WaitGroup
-	var rmu sync.Mutex
-	var requeued []int
-	if len(remote) > 0 {
-		sem := make(chan struct{}, s.cfg.FanoutParallel)
-		for k, i := range remote {
-			wg.Add(1)
-			go func(peer string, i int) {
-				defer wg.Done()
-				ok := false
-				func() {
-					// A panicking hook must cost one point's dispatch, not
-					// the process: the point falls back to the local solve.
-					defer func() {
-						if r := recover(); r != nil {
-							s.metrics.PanicRecovered()
-						}
-					}()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					ok = s.solveRemote(ctx, job, peer, i)
-				}()
-				if !ok {
-					rmu.Lock()
-					requeued = append(requeued, i)
-					rmu.Unlock()
-				}
-			}(peers[k], i)
-		}
-	}
-	s.runBatchLocal(ctx, job, local)
-	wg.Wait()
-	sort.Ints(requeued)
-	s.runBatchLocal(ctx, job, requeued)
-	// Normally the last settling point finalized the batch (or coalesced
-	// waiters will); a replayed batch whose every point was journaled
-	// complete before the crash settles nothing here, so finalize
-	// explicitly — the call is a no-op unless remaining is zero.
-	s.finalizeBatchIfDone(b)
-}
-
-// runBatchLocal drives the given points through the local pipeline:
-// grouped by program identity and budget, each group sharing one
-// analysis and one sweep pipeline.
-func (s *Server) runBatchLocal(ctx context.Context, job *Job, idxs []int) {
-	if len(idxs) == 0 {
-		return
-	}
-	b := job.batch
 	type group struct {
 		spec JobSpec // representative (program + budget fields)
 		idxs []int
 	}
 	groups := map[string]*group{}
 	var order []string
-	for _, i := range idxs {
+	for _, i := range pending {
 		p := b.points[i]
-		// A point answered while it waited — another batch, a single
-		// job, or a remote completion that was memoized before this
-		// point was requeued — is served from the cache.
 		if v, ok := s.results.Get(p.key); ok {
-			s.finishBatchPoint(job, i, DispositionCached, selectionOf(v.(*JobResult)), "", false, "")
+			s.finishBatchPoint(job, i, DispositionCached, selectionOf(v.(*JobResult)), "", false)
 			continue
 		}
 		dk, err := p.spec.designKey()
 		if err != nil {
-			s.finishBatchPoint(job, i, DispositionFailed, nil, err.Error(), false, "")
+			s.finishBatchPoint(job, i, DispositionFailed, nil, err.Error(), false)
 			continue
 		}
 		gk := fmt.Sprintf("%s|t%d|n%d|p%d", dk, p.spec.TimeoutMs, p.spec.MaxNodes, p.spec.Parallelism)
@@ -868,67 +758,30 @@ func (s *Server) runBatchLocal(ctx context.Context, job *Job, idxs []int) {
 		}
 		g.idxs = append(g.idxs, i)
 	}
+
+	ctx, stop := withDrain(context.Background(), s.drain)
+	defer stop()
 	for _, gk := range order {
 		s.runBatchGroup(ctx, job, groups[gk].spec, groups[gk].idxs)
 	}
-}
-
-// solveRemote executes one ring-routed point on its owner under a
-// journaled lease. The lease record names the point, the assignee, and
-// the deadline; it is advisory (replay reconstructs a leased point as
-// pending) and bounds the dispatch end to end. Returns false when the
-// point must requeue locally.
-func (s *Server) solveRemote(ctx context.Context, job *Job, peer string, i int) bool {
-	b := job.batch
-	p := b.points[i]
-	deadline := s.now().Add(s.cfg.BatchLease)
-	b.mu.Lock()
-	p.node = peer
-	b.mu.Unlock()
-	s.journalAppend(job, recLease, leaseData{Index: i, Key: p.key, Peer: peer, Deadline: deadline})
-	lctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	res, retries, err := s.cfg.RemoteSolve(lctx, peer, p.spec)
-	s.metrics.RemotePointRetries(retries)
-	if err == nil && (res == nil || res.Selection == nil) {
-		err = errors.New("service: remote solve returned no selection")
-	}
-	if err != nil {
-		// Lease expiry is the deadline case specifically — not a drain,
-		// whose cancellation also surfaces here.
-		if lctx.Err() != nil && ctx.Err() == nil {
-			s.metrics.LeaseExpired()
-		}
-		s.metrics.RemotePointDone("requeued")
-		b.mu.Lock()
-		p.node = ""
-		b.mu.Unlock()
-		return false
-	}
-	sel := res.Selection
-	// Remote results are memoized only when proven: the peer solved
-	// under its own clamping (and the lease budget), so an anytime
-	// incumbent from over there must not answer full-budget requests
-	// under this content address. Proofs are budget-independent.
-	s.finishBatchPoint(job, i, DispositionRemote, sel, "", provenSelection(sel), peer)
-	s.metrics.RemotePointDone("completed")
-	return true
+	// Normally the last settling point finalized the batch (or coalesced
+	// waiters will); a replayed batch whose every point was journaled
+	// complete before the crash settles nothing here, so finalize
+	// explicitly — the call is a no-op unless remaining is zero.
+	s.finalizeBatchIfDone(b)
 }
 
 // finishBatchPoint settles point i with its terminal disposition,
 // journaling the completion first (WAL order: record, then apply) so a
 // crash between the two re-plays the point as done rather than
 // re-solving it.
-func (s *Server) finishBatchPoint(job *Job, i int, disposition string, sel *SelectionResult, errMsg string, memoize bool, node string) {
+func (s *Server) finishBatchPoint(job *Job, i int, disposition string, sel *SelectionResult, errMsg string, memoize bool) {
 	b := job.batch
 	// Mirror completeBatchPoint's memoize rules so the journaled record
 	// matches what the cache will hold after replay.
 	memoize = memoize && sel != nil && !s.draining.Load()
-	b.mu.Lock()
 	p := b.points[i]
-	p.node = node
 	key, rg := p.key, p.spec.RequiredGain
-	b.mu.Unlock()
 	s.journalAppendPoint(job, i, pointData{Result: BatchPointResult{
 		Index:        i,
 		RequiredGain: rg,
@@ -937,7 +790,6 @@ func (s *Server) finishBatchPoint(job *Job, i int, disposition string, sel *Sele
 		Selection:    sel,
 		Error:        errMsg,
 		Memoized:     memoize,
-		Node:         node,
 	}})
 	s.completeBatchPoint(b, i, disposition, sel, errMsg, memoize)
 }
@@ -950,7 +802,7 @@ func (s *Server) runBatchGroup(ctx context.Context, job *Job, spec JobSpec, idxs
 	design, err := s.design(spec)
 	if err != nil {
 		for _, i := range idxs {
-			s.finishBatchPoint(job, i, DispositionFailed, nil, err.Error(), false, "")
+			s.finishBatchPoint(job, i, DispositionFailed, nil, err.Error(), false)
 		}
 		return
 	}
@@ -989,7 +841,7 @@ func (s *Server) runBatchGroup(ctx context.Context, job *Job, spec JobSpec, idxs
 		}
 		i := idxs[pt.Index]
 		if err != nil {
-			s.finishBatchPoint(job, i, DispositionFailed, nil, err.Error(), false, "")
+			s.finishBatchPoint(job, i, DispositionFailed, nil, err.Error(), false)
 			continue
 		}
 		disp := DispositionSolved
@@ -998,7 +850,7 @@ func (s *Server) runBatchGroup(ctx context.Context, job *Job, spec JobSpec, idxs
 		} else {
 			s.metrics.SolveStarted()
 		}
-		s.finishBatchPoint(job, i, disp, NewSelectionResult(pt.Sel), "", true, "")
+		s.finishBatchPoint(job, i, disp, NewSelectionResult(pt.Sel), "", true)
 	}
 }
 

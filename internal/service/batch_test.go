@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"partita/internal/faults"
+	"partita/internal/journal"
 )
 
 // batchSpec builds a batch over the shared test program with one point
@@ -386,6 +387,167 @@ func TestBatchJournalReplayRequeuesUnfinished(t *testing.T) {
 	}
 	if !rb.View(false).Recovered {
 		t.Error("restored batch not marked recovered")
+	}
+}
+
+// batchPointKeys returns the content key of every point of spec.
+func batchPointKeys(t *testing.T, spec BatchSpec) []string {
+	t.Helper()
+	keys := make([]string, len(spec.Points))
+	for i := range spec.Points {
+		merged, err := spec.point(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[i], err = merged.resultKey(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// journalRec is one hand-written journal record: its type and payload.
+type journalRec struct {
+	typ  string
+	data any
+}
+
+// writeBatchJournal writes by hand the journal of a daemon that died
+// mid-batch: the submit record of spec as batch b000001, then recs in
+// order, with no done record.
+func writeBatchJournal(t *testing.T, path string, spec BatchSpec, recs ...journalRec) {
+	t.Helper()
+	jnl, _, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs = append([]journalRec{{recSubmit, submitData{ID: "b000001", Key: batchKey(batchPointKeys(t, spec)), Batch: &spec}}}, recs...)
+	for _, r := range recs {
+		if _, err := jnl.Append(r.typ, "b000001", r.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchReplayAllPointsJournaled covers a crash after every point's
+// completion was journaled but before the batch's done record landed.
+// The replayed batch has nothing to solve; runBatch must still finalize
+// it to a terminal summary.
+func TestBatchReplayAllPointsJournaled(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	gains := []int64{500, 1000}
+	spec := batchSpec(gains...)
+	keys := batchPointKeys(t, spec)
+	var recs []journalRec
+	for i, rg := range gains {
+		recs = append(recs, journalRec{recPoint, pointData{Result: BatchPointResult{
+			Index: i, RequiredGain: rg, Key: keys[i], Disposition: DispositionSolved,
+			Selection: &SelectionResult{Status: "optimal", Gain: rg}, Memoized: true,
+		}}})
+	}
+	writeBatchJournal(t, path, spec, recs...)
+
+	s, err := Open(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer shutdownServer(t, s)
+	rb, ok := s.Batch("b000001")
+	if !ok {
+		t.Fatal("batch not restored")
+	}
+	waitBatch(t, rb)
+	if sum := *rb.View(false).Summary; sum.Solved != 2 || sum.Failed != 0 || sum.Total != 2 {
+		t.Fatalf("summary: %+v", sum)
+	}
+	if solves := solvesStarted(s); solves != 0 {
+		t.Errorf("fully-journaled batch re-solved %d points", solves)
+	}
+	for i, pkey := range keys {
+		if _, ok := s.CachedResult(pkey); !ok {
+			t.Errorf("point %d not re-memoized from its journaled completion", i)
+		}
+	}
+}
+
+// TestBatchReplayOlderJournalRecords replays an unfinished batch written
+// by a daemon that still ring-routed batch points to peers: one point
+// solved locally, one solved by a peer (disposition "remote", a node
+// name), and one in flight under a "lease" record. The two journaled
+// points must come back done and cached without re-solving, the leased
+// point must solve locally, the summary must account for every point,
+// and replay compaction must drop the lease record.
+func TestBatchReplayOlderJournalRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal")
+	gains := []int64{500, 1000, 1500}
+	spec := batchSpec(gains...)
+	keys := batchPointKeys(t, spec)
+	// Area 3 marks the journaled selections: a re-solve would replace it.
+	sel := func(rg int64) map[string]any {
+		return map[string]any{"status": "optimal", "gain": rg, "area": 3}
+	}
+	writeBatchJournal(t, path, spec,
+		journalRec{recPoint, map[string]any{"result": map[string]any{
+			"index": 0, "requiredGain": gains[0], "key": keys[0], "disposition": "solved",
+			"selection": sel(gains[0]), "memoized": true,
+		}}},
+		journalRec{recPoint, map[string]any{"result": map[string]any{
+			"index": 1, "requiredGain": gains[1], "key": keys[1], "disposition": "remote",
+			"selection": sel(gains[1]), "memoized": true, "node": "peer2",
+		}}},
+		journalRec{"lease", map[string]any{
+			"index": 2, "key": keys[2], "peer": "peer2", "deadline": time.Now().Add(time.Minute),
+		}},
+	)
+
+	s, err := Open(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := journal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range rep.Records {
+		if rec.Type == "lease" {
+			t.Errorf("replay compaction kept a lease record: %+v", rec)
+		}
+	}
+	rb, ok := s.Batch("b000001")
+	if !ok {
+		t.Fatal("batch not restored")
+	}
+	if v := rb.View(true); v.Remaining != 1 || !v.Points[0].Done || !v.Points[1].Done || v.Points[2].Done {
+		t.Fatalf("restored batch: %+v", v)
+	}
+	for i := 0; i < 2; i++ {
+		if _, ok := s.CachedResult(keys[i]); !ok {
+			t.Errorf("journaled point %d not re-memoized", i)
+		}
+	}
+
+	s.Start()
+	defer shutdownServer(t, s)
+	waitBatch(t, rb)
+	if solves := solvesStarted(s); solves > 1 {
+		t.Errorf("replayed batch started %d solves, want at most 1 (the leased point)", solves)
+	}
+	sum := *rb.View(false).Summary
+	if sum.Failed != 0 || sum.Solved+sum.Reused+sum.Cached+sum.Duplicates+sum.Failed != sum.Total {
+		t.Fatalf("summary does not account for every point: %+v", sum)
+	}
+	res := rb.result()
+	for i := 0; i < 2; i++ {
+		if p := res.Points[i]; p.Disposition != DispositionSolved || p.Selection == nil || p.Selection.Area != 3 {
+			t.Errorf("journaled point %d re-solved or mis-mapped: %+v", i, p)
+		}
+	}
+	if p := res.Points[2]; p.Disposition != DispositionSolved && p.Disposition != DispositionReused {
+		t.Errorf("leased point did not solve locally: %+v", p)
 	}
 }
 

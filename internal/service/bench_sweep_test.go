@@ -48,11 +48,9 @@ type sweepBenchEntry struct {
 	Solved      int `json:"solved,omitempty"`
 	Reused      int `json:"reused,omitempty"`
 	GreedySeeds int `json:"greedySeeds,omitempty"`
-	// Batch dispositions (service-level entries; batchRemote counts
-	// points solved by ring peers in the fan-out benchmark).
+	// Batch dispositions (service-level entries).
 	BatchSolved   int  `json:"batchSolved,omitempty"`
 	BatchReused   int  `json:"batchReused,omitempty"`
-	BatchRemote   int  `json:"batchRemote,omitempty"`
 	ResubmitZero  bool `json:"resubmitZeroSolves,omitempty"`
 	ResubmitCache int  `json:"resubmitCached,omitempty"`
 }

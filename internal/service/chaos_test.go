@@ -377,6 +377,14 @@ func TestFaultJournalSyncDegradationSurfaced(t *testing.T) {
 	if v := job.View(); v.Status != StatusDone {
 		t.Fatalf("job under fsync faults: %+v", v)
 	}
+	// The done record is appended after the job completes, and its
+	// self-healing compaction clears the degraded state until the retried
+	// append fails again: wait for the worker to finish that append.
+	for deadline := time.Now().Add(5 * time.Second); s.busy.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker still busy after the job completed")
+		}
+	}
 	if !s.jnl.Degraded() {
 		t.Fatal("journal not degraded under persistent fsync failure")
 	}

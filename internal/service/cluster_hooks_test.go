@@ -7,10 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"partita/internal/faults"
 	"partita/internal/journal"
 )
 
@@ -165,6 +168,74 @@ func TestOwnershipRecordedAndReplayed(t *testing.T) {
 	}
 	if v := j2.View(); v.Cluster == nil || *v.Cluster != *own {
 		t.Fatalf("replayed view cluster = %+v, want %+v", v.Cluster, own)
+	}
+}
+
+func TestDeadlineHeaderClampsMemoization(t *testing.T) {
+	// A solve clamped to a forwarded caller's deadline must not memoize
+	// an unproven outcome: the stall pushes the solve past the inherited
+	// 20ms budget, so the anytime result stays out of the cache and an
+	// unclamped resubmit really solves.
+	inj, err := faults.Parse("seed=7,solver.stall=1,solver.stall.delay=60ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Workers: 1, Faults: inj})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"kind":"select","source":` + strconv.Quote(testSource) +
+		`,"root":"process","requiredGain":700,"catalog":[{"id":"FIR8","name":"f","funcs":["fir"],"inPorts":2,"outPorts":2,"inRate":4,"outRate":4,"latency":8,"pipelined":true,"area":5}]}`
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(DeadlineHeader, "20")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("submit: HTTP %d", resp.StatusCode)
+	}
+	var accepted JobView
+	if err := json.NewDecoder(resp.Body).Decode(&accepted); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	job, ok := s.Job(accepted.ID)
+	if !ok {
+		t.Fatalf("job %s not tracked", accepted.ID)
+	}
+	if got := job.Spec.inheritDeadline; got != 20*time.Millisecond {
+		t.Fatalf("inherited deadline = %v, want 20ms", got)
+	}
+	waitDone(t, job)
+	jv := job.View()
+	if jv.Status != StatusDone {
+		t.Fatalf("clamped job: %+v", jv)
+	}
+	if !job.deadlineClamped {
+		t.Fatal("20ms inherited deadline did not clamp the default budget")
+	}
+	// The memoize gate under a clamp: proven outcomes cache, unproven
+	// outcomes do not. Either way the cache must agree with the proof.
+	_, cached := s.CachedResult(job.Key)
+	if proven := provenOutcome(jv.Result.Selection.Status); cached != proven {
+		t.Fatalf("clamped solve memoized=%v but proven=%v (%+v)", cached, proven, jv.Result.Selection)
+	}
+}
+
+func TestProvenOutcome(t *testing.T) {
+	for outcome, want := range map[string]bool{
+		"optimal": true, "infeasible": true,
+		"feasible": false, "degraded": false, "error": false, "unbounded": false,
+	} {
+		if got := provenOutcome(outcome); got != want {
+			t.Errorf("provenOutcome(%q) = %v, want %v", outcome, got, want)
+		}
 	}
 }
 

@@ -524,8 +524,8 @@ func (j *Job) setRecord(typ string, rec journal.Record) {
 // checkpoint, plus — for an unfinished batch — every settled point's
 // record, so a crash mid-batch never re-solves completed points (a
 // finished batch's done record carries all points, retiring them).
-// Running and lease records are never live — an unfinished job re-runs
-// from its spec after a crash, and a leased point replays as pending.
+// Running records are never live — an unfinished job re-runs from its
+// spec after a crash.
 func (j *Job) liveRecords() []journal.Record {
 	j.mu.Lock()
 	if j.recSubmit == nil {

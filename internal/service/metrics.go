@@ -49,13 +49,6 @@ type Metrics struct {
 	batchPoints      map[string]uint64 // by disposition
 	streamEvents     uint64
 
-	// Batch fan-out counters: remote point dispatches by outcome
-	// (completed, requeued), retry attempts spent, and leases that
-	// expired before the peer answered.
-	remotePoints  map[string]uint64 // by outcome
-	remoteRetries uint64
-	leaseExpired  uint64
-
 	// Portfolio-mode counters: race wins by engine, and the
 	// time-to-first-acceptable histogram.
 	portfolioWins    map[string]uint64 // by engine: seed|capacity|greedy|lpround|exact
@@ -70,7 +63,6 @@ func NewMetrics() *Metrics {
 		submitted:        map[string]uint64{},
 		completed:        map[string]uint64{},
 		batchPoints:      map[string]uint64{},
-		remotePoints:     map[string]uint64{},
 		portfolioWins:    map[string]uint64{},
 		bucketN:          make([]uint64, len(solveBuckets)),
 		fsyncBucketN:     make([]uint64, len(fsyncBuckets)),
@@ -134,34 +126,6 @@ func (m *Metrics) BatchSubmitted(points int) {
 func (m *Metrics) BatchPointDone(disposition string) {
 	m.mu.Lock()
 	m.batchPoints[disposition]++
-	m.mu.Unlock()
-}
-
-// RemotePointDone counts one ring-routed batch point dispatch reaching
-// its outcome: completed (the peer's result settled the point) or
-// requeued (the point fell back to the local pipeline).
-func (m *Metrics) RemotePointDone(outcome string) {
-	m.mu.Lock()
-	m.remotePoints[outcome]++
-	m.mu.Unlock()
-}
-
-// RemotePointRetries adds the retry attempts one remote dispatch spent
-// beyond its first try.
-func (m *Metrics) RemotePointRetries(n int) {
-	if n <= 0 {
-		return
-	}
-	m.mu.Lock()
-	m.remoteRetries += uint64(n)
-	m.mu.Unlock()
-}
-
-// LeaseExpired counts one point lease that hit its deadline before the
-// assignee answered.
-func (m *Metrics) LeaseExpired() {
-	m.mu.Lock()
-	m.leaseExpired++
 	m.mu.Unlock()
 }
 
@@ -291,9 +255,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, g Gauges, caches []cacheStat) {
 	fmt.Fprintf(w, "# HELP partitad_batches_completed_total Batches that reached their terminal summary.\n# TYPE partitad_batches_completed_total counter\npartitad_batches_completed_total %d\n", m.batchesCompleted)
 	fmt.Fprintf(w, "# HELP partitad_batch_points_submitted_total Points carried by accepted batches.\n# TYPE partitad_batch_points_submitted_total counter\npartitad_batch_points_submitted_total %d\n", m.batchPointsIn)
 	writeMap("partitad_batch_points_total", "Settled batch points, by disposition.", "disposition", m.batchPoints)
-	writeMap("partitad_batch_remote_points_total", "Batch points dispatched to ring peers, by outcome.", "outcome", m.remotePoints)
-	fmt.Fprintf(w, "# HELP partitad_batch_remote_retries_total Retry attempts spent on remote batch-point dispatches.\n# TYPE partitad_batch_remote_retries_total counter\npartitad_batch_remote_retries_total %d\n", m.remoteRetries)
-	fmt.Fprintf(w, "# HELP partitad_batch_lease_expired_total Point leases that expired before the assignee answered.\n# TYPE partitad_batch_lease_expired_total counter\npartitad_batch_lease_expired_total %d\n", m.leaseExpired)
 	fmt.Fprintf(w, "# HELP partitad_batch_events_delivered_total Batch events delivered to SSE and long-poll consumers (resumes re-deliver).\n# TYPE partitad_batch_events_delivered_total counter\npartitad_batch_events_delivered_total %d\n", m.streamEvents)
 	fmt.Fprintf(w, "# HELP partitad_batches_tracked Batches retained for polling and streaming.\n# TYPE partitad_batches_tracked gauge\npartitad_batches_tracked %d\n", g.BatchesTracked)
 	fmt.Fprintf(w, "# HELP partitad_batch_streams_active Live SSE event streams.\n# TYPE partitad_batch_streams_active gauge\npartitad_batch_streams_active %d\n", g.StreamsActive)

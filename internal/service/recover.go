@@ -21,11 +21,6 @@ const (
 	recCheckpoint = "checkpoint"
 	recDone       = "done"
 	recFailed     = "failed"
-	// recLease marks a batch point dispatched to a ring peer: point
-	// index, key, assignee, deadline. Leases are advisory — replay
-	// reconstructs a leased point as pending (the remote result, if any,
-	// never came back) and compaction drops them like running records.
-	recLease = "lease"
 	// recPoint is a batch point's terminal disposition, written before
 	// the point settles in memory (WAL order), so a crash mid-batch
 	// replays completed points as done instead of re-solving them. Point
@@ -62,17 +57,6 @@ type doneData struct {
 // failedData is the payload of a failed record.
 type failedData struct {
 	Error string `json:"error"`
-}
-
-// leaseData is the payload of a lease record: which point went to which
-// peer, and until when. Replay does not act on it beyond logging — a
-// leased point replays as pending — but the journal tells an operator
-// exactly where every in-flight point was when the node died.
-type leaseData struct {
-	Index    int       `json:"index"`
-	Key      string    `json:"key"`
-	Peer     string    `json:"peer"`
-	Deadline time.Time `json:"deadline"`
 }
 
 // pointData is the payload of a point record: the point's terminal
@@ -214,9 +198,6 @@ func (s *Server) rebuild(rep *journal.Replay) error {
 				rj.points[pr.Index] = &pr
 				rj.pointRecs[pr.Index] = rep.Records[i]
 			}
-		case recLease:
-			// Advisory: a leased point whose completion never journaled
-			// replays as pending and re-routes from scratch.
 		}
 	}
 
@@ -428,6 +409,9 @@ func (s *Server) restoreBatch(rj *replayedJob, job *Job) *Batch {
 					continue
 				}
 				pr := rj.points[idx]
+				if pr.Disposition == "remote" {
+					pr.Disposition = DispositionSolved // solved by a peer under the retired batch fan-out
+				}
 				settle := func(i int, disp string, memoized bool) {
 					q := b.points[i]
 					if q.done {
@@ -438,7 +422,6 @@ func (s *Server) restoreBatch(rj *replayedJob, job *Job) *Batch {
 					q.sel = pr.Selection
 					q.errMsg = pr.Error
 					q.memoized = memoized
-					q.node = pr.Node
 					b.remaining--
 					b.emitLocked(BatchEvent{
 						Type:         EventPoint,
@@ -452,7 +435,6 @@ func (s *Server) restoreBatch(rj *replayedJob, job *Job) *Batch {
 							Selection:    pr.Selection,
 							Error:        pr.Error,
 							Memoized:     memoized,
-							Node:         pr.Node,
 						},
 					})
 				}

@@ -223,9 +223,3 @@ func (r *SelectionResult) Solved() bool {
 func provenOutcome(outcome string) bool {
 	return outcome == ilp.Optimal.String() || outcome == ilp.Infeasible.String()
 }
-
-// provenSelection is provenOutcome over a wire-form selection: a
-// proven status with no degraded fallback.
-func provenSelection(sel *SelectionResult) bool {
-	return sel != nil && sel.Degraded == "" && provenOutcome(sel.Status)
-}

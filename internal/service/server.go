@@ -98,28 +98,6 @@ type Config struct {
 	// endpoints, and journaled with the submit record so a restarted
 	// node knows which jobs it accepted on another owner's behalf.
 	OwnerOf func(key string) *Ownership
-	// BatchFanout enables ring fan-out of pending batch points through
-	// the RoutePoint/RemoteSolve hooks. Without both hooks it has no
-	// effect: a single-node daemon always solves its batches locally.
-	BatchFanout bool
-	// RoutePoint, when set, names the remote peer that should execute
-	// the batch point with the given content address. ok=false keeps the
-	// point on the local pipeline (this node owns the key, or no live
-	// remote owner exists). The cluster layer wires this to the
-	// liveness- and breaker-filtered ring walk.
-	RoutePoint func(key string) (peer string, ok bool)
-	// RemoteSolve, when set, executes one batch point's spec on the
-	// named peer and reports the result plus how many retries the
-	// dispatch spent. It is called under the point's lease context:
-	// expiry (or any error) requeues the point on the local pipeline.
-	RemoteSolve func(ctx context.Context, peer string, spec JobSpec) (*JobResult, int, error)
-	// BatchLease bounds one remote point dispatch end to end — it is the
-	// journaled lease deadline after which the point is taken back and
-	// requeued locally (default 30s).
-	BatchLease time.Duration
-	// FanoutParallel caps concurrent remote point dispatches per batch
-	// (default 8).
-	FanoutParallel int
 }
 
 func (c Config) withDefaults() Config {
@@ -161,12 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CompactEvery <= 0 {
 		c.CompactEvery = 4096
-	}
-	if c.BatchLease <= 0 {
-		c.BatchLease = 30 * time.Second
-	}
-	if c.FanoutParallel <= 0 {
-		c.FanoutParallel = 8
 	}
 	return c
 }
@@ -230,18 +202,18 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		metrics:     NewMetrics(),
-		designs:     NewCache(cfg.DesignCacheSize),
-		results:     NewCache(cfg.ResultCacheSize),
+		cfg:             cfg,
+		metrics:         NewMetrics(),
+		designs:         NewCache(cfg.DesignCacheSize),
+		results:         NewCache(cfg.ResultCacheSize),
 		jobs:            map[string]*Job{},
 		inflight:        map[string]*Job{},
 		batches:         map[string]*Batch{},
 		inflightBatches: map[string]*Batch{},
-		queue:       make(chan *Job, cfg.QueueDepth),
-		drain:       make(chan struct{}),
-		stopWorkers: make(chan struct{}),
-		inj:         cfg.Faults,
+		queue:           make(chan *Job, cfg.QueueDepth),
+		drain:           make(chan struct{}),
+		stopWorkers:     make(chan struct{}),
+		inj:             cfg.Faults,
 	}
 	// A journal-less server is ready immediately; Open flips this after
 	// the replay finishes.
