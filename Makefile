@@ -1,7 +1,7 @@
 # Convenience targets around the go toolchain; everything here is plain
 # `go test` underneath.
 
-.PHONY: build test race bench bench-ilp profile-ilp bench-portfolio bench-service bench-sweep integration chaos chaos-cluster
+.PHONY: build test race bench profile-ilp bench-portfolio bench-service bench-sweep integration chaos chaos-cluster
 
 build:
 	go build ./...
@@ -17,25 +17,14 @@ race:
 bench:
 	go test -bench . -benchmem .
 
-# ILP solver benchmarks: branch-and-bound nodes/sec and solve-latency
-# p50/p99 over the GSM/JPEG models at parallelism 1/2/4, plus the
-# 16-point sweep. Writes BENCH_ilp.json at the repo root (override with
-# BENCH_ILP_OUT); parallel entries record their p50 speedup over the
-# serial entry. See docs/PERFORMANCE.md. Override the iteration count
-# with BENCHTIME (e.g. `make bench-ilp BENCHTIME=1x` as a smoke test).
-BENCHTIME ?= 20x
-bench-ilp:
-	go test -run NoTests -bench BenchmarkILP -benchtime $(BENCHTIME) .
-
 # Profile a solver-heavy run: the bundled GSM demo swept 10..90% of
-# reachable gain (rg=0) with all CPUs inside each branch-and-bound.
-# Writes profile_ilp_cpu.pprof and profile_ilp_mem.pprof at the repo
-# root (override with PROFILE_DIR); inspect with
-# `go tool pprof profile_ilp_cpu.pprof`.
+# reachable gain (rg=0). Writes profile_ilp_cpu.pprof and
+# profile_ilp_mem.pprof at the repo root (override with PROFILE_DIR);
+# inspect with `go tool pprof profile_ilp_cpu.pprof`.
 PROFILE_DIR ?= .
 profile-ilp:
 	go build -o $(PROFILE_DIR)/partita-profile ./cmd/partita
-	$(PROFILE_DIR)/partita-profile -parallelism -1 \
+	$(PROFILE_DIR)/partita-profile \
 		-cpuprofile $(PROFILE_DIR)/profile_ilp_cpu.pprof \
 		-memprofile $(PROFILE_DIR)/profile_ilp_mem.pprof > /dev/null
 	rm -f $(PROFILE_DIR)/partita-profile
@@ -47,7 +36,9 @@ profile-ilp:
 # a single-field edit. Every iteration cross-checks the gap-0 settled
 # answer byte-for-byte against the exact solver, so the speedups carry
 # zero correctness drift. Writes BENCH_portfolio.json at the repo root
-# (override with BENCH_PORTFOLIO_OUT).
+# (override with BENCH_PORTFOLIO_OUT). Override the iteration count with
+# BENCHTIME (e.g. `make bench-portfolio BENCHTIME=1x` as a smoke test).
+BENCHTIME ?= 20x
 bench-portfolio:
 	go test -run NoTests -bench BenchmarkPortfolio -benchtime $(BENCHTIME) .
 

@@ -7,17 +7,15 @@
 //
 //	partita -src app.c -root encoder -rg 50000 [-catalog lib.json]
 //	        [-problem2] [-simulate] [-greedy] [-entry main]
-//	        [-timeout 30s] [-max-nodes 100000] [-parallelism 4] [-json]
+//	        [-timeout 30s] [-max-nodes 100000] [-json]
 //
 // -timeout and -max-nodes bound the exact solver; when a budget runs
 // out the report carries the best configuration found so far (status
 // "feasible", with its optimality gap) or the greedy fallback (status
 // "degraded") instead of hanging.
 //
-// -parallelism runs the branch-and-bound solver with that many worker
-// goroutines (-1 = one per CPU). 0 and 1 keep the serial solver with
-// its reproducible node order; parallel solves prove the same optimum.
-// See docs/PERFORMANCE.md.
+// The exact solver is a serial best-first branch and bound with a
+// reproducible node order; see docs/PERFORMANCE.md.
 //
 // -portfolio races the greedy baseline, LP-relaxation + rounding, and
 // the exact solver; the report shows which engine delivered the first
@@ -95,7 +93,6 @@ func main() {
 	rtl := flag.String("rtl", "", "write generated Verilog (interfaces + decoder) to this file")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per selection solve (0 = unlimited)")
 	maxNodes := flag.Int("max-nodes", 0, "branch-and-bound node budget per solve (0 = unlimited)")
-	parallelism := flag.Int("parallelism", 0, "solver worker goroutines (0 or 1 = serial deterministic, -1 = one per CPU)")
 	usePortfolio := flag.Bool("portfolio", false, "race the capacity bound, greedy, LP-rounding, and the exact solver; report per-engine attribution")
 	portfolioGap := flag.Float64("portfolio-gap", 0, "relative area gap at which a portfolio candidate is acceptable (0 = proven only)")
 	jsonOut := flag.Bool("json", false, "emit one JSON document in the partitad service schema instead of tables")
@@ -128,7 +125,7 @@ func main() {
 		}()
 	}
 
-	bud := partita.Budget{MaxNodes: *maxNodes, Parallelism: *parallelism}
+	bud := partita.Budget{MaxNodes: *maxNodes}
 	solveCtx := func() (context.Context, context.CancelFunc) {
 		if *timeout > 0 {
 			return context.WithTimeout(context.Background(), *timeout)

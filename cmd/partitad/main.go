@@ -10,7 +10,7 @@
 //	partitad [-addr :8080] [-workers N] [-queue 64]
 //	         [-design-cache 32] [-result-cache 256]
 //	         [-default-timeout 0] [-max-timeout 2m]
-//	         [-max-jobs 1024] [-max-parallelism N] [-grace 30s]
+//	         [-max-jobs 1024] [-grace 30s]
 //	         [-portfolio-gap 0.05]
 //	         [-max-batch-points 4096] [-max-batch-bytes 33554432]
 //	         [-max-batches 128]
@@ -21,10 +21,9 @@
 //	         [-peek-timeout 300ms]
 //	         [-faults spec]
 //
-// Jobs may request solver-level parallelism with their "parallelism"
-// field; -max-parallelism caps what any single job can get, so the
-// job-level worker pool times the per-solve worker count stays within
-// what the operator provisioned (see docs/PERFORMANCE.md for tuning).
+// Each job's solve runs on one worker of the pool, so -workers is the
+// daemon's only concurrency knob. A job's "parallelism" field is
+// accepted for compatibility and ignored (see docs/SERVICE.md).
 //
 // Select jobs with "mode": "portfolio" race the capacity-bound
 // witness, the greedy baseline, LP-relaxation + rounding, and the
@@ -123,7 +122,6 @@ func main() {
 	defaultTimeout := flag.Duration("default-timeout", 0, "deadline for jobs that set none (0 = inherit -max-timeout)")
 	maxTimeout := flag.Duration("max-timeout", 0, "hard cap on any job deadline (0 = default 2m)")
 	maxJobs := flag.Int("max-jobs", 0, "jobs retained for polling (0 = default 1024)")
-	maxParallelism := flag.Int("max-parallelism", 0, "cap on per-job solver parallelism (0 = GOMAXPROCS)")
 	portfolioGap := flag.Float64("portfolio-gap", 0, "default acceptability gap of portfolio-mode jobs that set none (0 = default 0.05)")
 	grace := flag.Duration("grace", 30*time.Second, "shutdown drain budget")
 	maxBatchPoints := flag.Int("max-batch-points", 0, "points accepted in one batch (0 = default 4096)")
@@ -189,7 +187,6 @@ func main() {
 		DefaultTimeout:  *defaultTimeout,
 		MaxTimeout:      *maxTimeout,
 		MaxJobs:         *maxJobs,
-		MaxParallelism:  *maxParallelism,
 		PortfolioGap:    *portfolioGap,
 		MaxBatchPoints:  *maxBatchPoints,
 		MaxBatchBytes:   *maxBatchBytes,

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 )
 
 // Sentinel errors for each budget dimension. Errors returned by budgeted
@@ -46,45 +45,16 @@ type Budget struct {
 	// MaxSimplexIter bounds the pivots of each LP relaxation solve
 	// (0 = the solver's built-in safety cap).
 	MaxSimplexIter int
-	// Parallelism sets how many worker goroutines a solve may use.
-	// Unlike the fields above it is not a limit on total work but on
-	// concurrency:
+	// Parallelism is ignored: every solve runs the serial
+	// branch-and-bound, which explores nodes in a fixed, reproducible
+	// order.
 	//
-	//   - 0 and 1 select the serial solver, which explores nodes in a
-	//     fixed, reproducible order (the determinism contract golden
-	//     tests rely on);
-	//   - values >= 2 enable the parallel branch-and-bound driver (and
-	//     concurrent sweep points) with exactly that many workers;
-	//   - negative values mean "one worker per available CPU"
-	//     (runtime.GOMAXPROCS).
-	//
-	// Parallel solves prove the same status and objective as serial
-	// ones, but node counts and anytime incumbent trajectories may
-	// differ run to run.
+	// Deprecated: kept so existing callers compile; it has no effect.
 	Parallelism int
 }
 
 // Unlimited reports whether the budget imposes no discrete limits.
-// Parallelism is a concurrency setting, not a work limit, so it does
-// not affect this.
 func (b Budget) Unlimited() bool { return b.MaxNodes <= 0 && b.MaxSimplexIter <= 0 }
-
-// Workers resolves the Parallelism knob to a concrete worker count:
-// at least 1, exactly Parallelism when >= 2, and GOMAXPROCS for
-// negative (auto) values.
-func (b Budget) Workers() int {
-	switch {
-	case b.Parallelism < 0:
-		if n := runtime.GOMAXPROCS(0); n > 1 {
-			return n
-		}
-		return 1
-	case b.Parallelism <= 1:
-		return 1
-	default:
-		return b.Parallelism
-	}
-}
 
 // Check maps a context's cancellation state to the budget vocabulary:
 // nil while the context is live, and an error wrapping both ErrDeadline

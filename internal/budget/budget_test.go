@@ -63,22 +63,3 @@ func TestUnlimited(t *testing.T) {
 		t.Error("parallelism is not a work limit; budget should stay unlimited")
 	}
 }
-
-func TestWorkers(t *testing.T) {
-	cases := []struct {
-		parallelism, want int
-	}{
-		{0, 1}, // zero value: serial, deterministic
-		{1, 1},
-		{2, 2},
-		{8, 8},
-	}
-	for _, c := range cases {
-		if got := (Budget{Parallelism: c.parallelism}).Workers(); got != c.want {
-			t.Errorf("Workers(Parallelism=%d) = %d, want %d", c.parallelism, got, c.want)
-		}
-	}
-	if got := (Budget{Parallelism: -1}).Workers(); got < 1 {
-		t.Errorf("auto Workers() = %d, want >= 1", got)
-	}
-}

@@ -94,11 +94,21 @@ func TestSolveNodeLimitAnytime(t *testing.T) {
 	if err := m.Check(s, 1e-6); err != nil {
 		t.Errorf("incumbent fails verification: %v", err)
 	}
+	if opt := adversarialOptimum(20); s.Objective > opt+1e-9 || s.Bound < opt-1e-9 {
+		t.Errorf("incumbent %g / bound %g do not bracket the optimum %g", s.Objective, s.Bound, opt)
+	}
 }
 
 // Cancellation aborts mid-solve promptly (within 50ms of the cancel)
 // and surfaces context.Canceled rather than a silent degraded answer.
 func TestSolveCancellation(t *testing.T) {
+	// An already-canceled context fails fast with the deadline sentinel.
+	pre, stop := context.WithCancel(context.Background())
+	stop()
+	if _, err := adversarialModel(10).SolveCtx(pre, budget.Budget{}); !errors.Is(err, budget.ErrDeadline) {
+		t.Errorf("pre-canceled solve: err = %v, want ErrDeadline", err)
+	}
+
 	m := adversarialModel(20)
 	ctx, cancel := context.WithCancel(context.Background())
 
@@ -140,16 +150,23 @@ func TestSolveCancellation(t *testing.T) {
 // is n−1 chosen pairs (objective 2(n−1)) — proving the anytime answers
 // above are genuinely suboptimal-or-equal, not artifacts.
 func TestAdversarialOptimumSmall(t *testing.T) {
-	n := 6
-	m := adversarialModel(n)
-	s, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != Optimal {
-		t.Fatalf("status = %v", s.Status)
-	}
-	if want := adversarialOptimum(n); s.Objective != want {
-		t.Errorf("objective = %g, want %g", s.Objective, want)
+	for _, n := range []int{6, 9, 12} {
+		m := adversarialModel(n)
+		s, err := m.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Status != Optimal {
+			t.Fatalf("n=%d: status = %v", n, s.Status)
+		}
+		if want := adversarialOptimum(n); s.Objective != want {
+			t.Errorf("n=%d: objective = %g, want %g", n, s.Objective, want)
+		}
+		if s.Bound != s.Objective {
+			t.Errorf("n=%d: exact result has bound %g != objective %g", n, s.Bound, s.Objective)
+		}
+		if err := m.Check(s, 1e-6); err != nil {
+			t.Errorf("n=%d: %v", n, err)
+		}
 	}
 }

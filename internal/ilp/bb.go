@@ -28,11 +28,8 @@ func (m *Model) Solve() (*Solution, error) {
 //     budget package sentinels is returned, so callers can degrade to a
 //     heuristic instead of failing.
 //
-// bud.Parallelism selects the search driver: 0 and 1 run the serial
-// best-first search, which visits nodes in a fixed, reproducible order;
-// larger values run the same search with that many concurrent workers
-// (see branchAndBoundParallel), proving the same status and objective
-// with a run-dependent node order.
+// The search is serial best-first and visits nodes in a fixed,
+// reproducible order; bud.Parallelism is ignored.
 func (m *Model) SolveCtx(ctx context.Context, bud budget.Budget) (*Solution, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
@@ -56,9 +53,6 @@ func (m *Model) SolveCtx(ctx context.Context, bud budget.Budget) (*Solution, err
 		return &Solution{Status: r.status, Objective: r.obj, Values: r.x, Nodes: 1, Bound: r.obj,
 			Stats: SearchStats{ColdLPs: 1, PrimalPivots: int64(r.pivots)}}, nil
 	}
-	if w := bud.Workers(); w > 1 {
-		return m.branchAndBoundParallel(ctx, bud, w)
-	}
 	return m.branchAndBound(ctx, bud)
 }
 
@@ -67,8 +61,7 @@ func (m *Model) SolveCtx(ctx context.Context, bud budget.Budget) (*Solution, err
 // ordering. The full fixing set of a node is the chain walk back to the
 // root — a copy-on-write path that costs one small struct per child
 // instead of the full map copy a per-node fixing map would need. Nodes
-// are immutable once pushed, so chains may be shared freely between
-// solver workers.
+// are immutable once pushed, so siblings share their ancestors' chain.
 type bbNode struct {
 	parent *bbNode
 	v      VarID   // variable fixed at this node; -1 at the root
@@ -80,7 +73,7 @@ type bbNode struct {
 // fixSet is a reusable dense view of one node's fixing chain, giving
 // solveRelaxation O(1) lookups without allocating per node: load walks
 // the chain (O(depth)) and clears only the entries the previous node
-// touched. Each solver worker owns one fixSet.
+// touched. One solve owns one fixSet.
 type fixSet struct {
 	val     []float64
 	set     []bool

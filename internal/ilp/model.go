@@ -234,8 +234,8 @@ type Solution struct {
 	// Stopped records why an anytime solve gave up (wrapping one of the
 	// budget package sentinels); nil when the solve ran to completion.
 	Stopped error
-	// Stats carries low-level search counters (LP solves by kind, pivot
-	// counts, work-stealing traffic); purely informational.
+	// Stats carries low-level search counters (LP solves and pivot
+	// counts); purely informational.
 	Stats SearchStats
 }
 

@@ -71,7 +71,7 @@ func (l limits) iterCap() int {
 // across branch-and-bound nodes. Buffers are handed out bump-allocator
 // style and reclaimed all at once by reset() at the start of the next
 // solve, so a relaxation costs no tableau allocations in steady state.
-// Each solver worker owns one arena; a nil arena degrades every request
+// Each solve owns one arena; a nil arena degrades every request
 // to a plain make (the one-shot pure-LP path).
 type arena struct {
 	floats []float64

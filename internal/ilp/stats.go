@@ -2,42 +2,26 @@ package ilp
 
 // SearchStats aggregates low-level solver counters across one solve.
 // They exist so benchmarks and operators can explain *why* a wall-clock
-// number moved — a speedup regression with rising ColdLPs points at the
-// warm-start path, one with rising StealScans at work distribution —
-// and cost nothing on the hot path beyond integer adds on memory each
-// worker already owns.
+// number moved — more nodes, or more simplex work per node — and cost
+// nothing on the hot path beyond integer adds.
 type SearchStats struct {
 	// ColdLPs counts relaxations solved from scratch by the two-phase
-	// primal simplex; WarmLPs counts relaxations re-solved by the
-	// dual-simplex warm start from a previously factored basis.
+	// primal simplex: one per branch-and-bound node.
 	ColdLPs int64
+	// WarmLPs always reads 0: every relaxation is solved cold.
+	//
+	// Deprecated: kept so existing readers compile; the solver has no
+	// warm-start LP path.
 	WarmLPs int64
-	// PrimalPivots and DualPivots count simplex pivots by phase kind.
+	// PrimalPivots counts simplex pivots.
 	PrimalPivots int64
-	DualPivots   int64
-	// Steals counts nodes taken from another worker's deque; StealScans
-	// counts victim deques inspected while looking (a high
-	// scans-per-steal ratio means workers are starving).
-	Steals     int64
-	StealScans int64
-	// Parks counts the times a worker went to sleep on the shared
-	// condition variable because no node was available anywhere.
-	Parks int64
 }
 
 // Add folds o into s.
 func (s *SearchStats) Add(o SearchStats) {
 	s.ColdLPs += o.ColdLPs
-	s.WarmLPs += o.WarmLPs
 	s.PrimalPivots += o.PrimalPivots
-	s.DualPivots += o.DualPivots
-	s.Steals += o.Steals
-	s.StealScans += o.StealScans
-	s.Parks += o.Parks
 }
 
-// LPs is the total relaxation count, warm and cold.
-func (s SearchStats) LPs() int64 { return s.ColdLPs + s.WarmLPs }
-
-// Pivots is the total simplex pivot count, primal and dual.
-func (s SearchStats) Pivots() int64 { return s.PrimalPivots + s.DualPivots }
+// Pivots is the total simplex pivot count.
+func (s SearchStats) Pivots() int64 { return s.PrimalPivots }

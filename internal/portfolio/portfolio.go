@@ -1,6 +1,6 @@
 // Package portfolio races independent selection engines — the greedy
-// baseline, LP-relaxation + rounding, and the exact parallel branch and
-// bound — over one shared selector.Analysis and delivers the first
+// baseline, LP-relaxation + rounding, and the exact branch and bound —
+// over one shared selector.Analysis and delivers the first
 // *acceptable* answer while the exact proof keeps streaming in behind
 // it.
 //
@@ -45,7 +45,7 @@ const (
 	// LPRound solves one LP relaxation and rounds (ilp.SolveLPRound):
 	// milliseconds, carries the LP lower bound, proves infeasibility.
 	LPRound Engine = "lpround"
-	// Exact is the parallel branch and bound: the only engine that
+	// Exact is the branch and bound: the only engine that
 	// proves optimality.
 	Exact Engine = "exact"
 	// Seed is not a solver: on an incremental re-solve it is the

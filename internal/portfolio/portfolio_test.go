@@ -9,17 +9,12 @@ import (
 	"testing"
 
 	"partita/internal/apps"
-	"partita/internal/budget"
 	"partita/internal/iface"
 	"partita/internal/ilp"
 	"partita/internal/imp"
 	"partita/internal/ip"
 	"partita/internal/selector"
 )
-
-// portfolioLevels mirrors the acceptance criterion: the gap-0 portfolio
-// must match the exact solver at parallelism 1, 2, and 4.
-var portfolioLevels = []int{1, 2, 4}
 
 func mkIP(id string, area float64) *ip.IP {
 	return &ip.IP{ID: id, Name: id, Funcs: []string{"f"}, InPorts: 1, OutPorts: 1,
@@ -53,8 +48,8 @@ func assertSettledMatchesExact(t *testing.T, tag string, res *Result, ref *selec
 }
 
 // TestPortfolioEquivalenceGolden races the paper's GSM and JPEG tables
-// at gap 0 across the requirement band and every parallelism level; the
-// settled answer must be the exact optimum, byte for byte.
+// at gap 0 across the requirement band; the settled answer must be the
+// exact optimum, byte for byte.
 func TestPortfolioEquivalenceGolden(t *testing.T) {
 	tables := []struct {
 		name  string
@@ -70,25 +65,22 @@ func TestPortfolioEquivalenceGolden(t *testing.T) {
 		}
 		an := selector.NewAnalysis(db)
 		for _, frac := range []int64{10, 30, 50, 70, 90} {
-			rg := an.MaxGain() * frac / 100
-			for _, w := range portfolioLevels {
-				p := selector.Problem{Required: rg, Budget: budget.Budget{Parallelism: w}}
-				ref, err := an.Solve(context.Background(), p)
-				if err != nil {
-					t.Fatalf("%s rg=%d P=%d: exact: %v", tb.name, rg, w, err)
-				}
-				res, err := Run(context.Background(), an, p, nil, Config{Gap: 0})
-				if err != nil {
-					t.Fatalf("%s rg=%d P=%d: portfolio: %v", tb.name, rg, w, err)
-				}
-				tag := fmt.Sprintf("%s rg=%d P=%d", tb.name, rg, w)
-				assertSettledMatchesExact(t, tag, res, ref)
-				if res.First.Sel == nil {
-					t.Fatalf("%s: no first answer recorded", tag)
-				}
-				if res.First.Elapsed > res.Settled {
-					t.Errorf("%s: first at %v after settle %v", tag, res.First.Elapsed, res.Settled)
-				}
+			p := selector.Problem{Required: an.MaxGain() * frac / 100}
+			ref, err := an.Solve(context.Background(), p)
+			if err != nil {
+				t.Fatalf("%s rg=%d: exact: %v", tb.name, p.Required, err)
+			}
+			res, err := Run(context.Background(), an, p, nil, Config{Gap: 0})
+			if err != nil {
+				t.Fatalf("%s rg=%d: portfolio: %v", tb.name, p.Required, err)
+			}
+			tag := fmt.Sprintf("%s rg=%d", tb.name, p.Required)
+			assertSettledMatchesExact(t, tag, res, ref)
+			if res.First.Sel == nil {
+				t.Fatalf("%s: no first answer recorded", tag)
+			}
+			if res.First.Elapsed > res.Settled {
+				t.Errorf("%s: first at %v after settle %v", tag, res.First.Elapsed, res.Settled)
 			}
 		}
 	}
@@ -139,7 +131,7 @@ func fuzzDB(t *testing.T, rng *rand.Rand) *imp.DB {
 
 // TestPortfolioFuzzCorpusEquivalence is the portfolio arm of the
 // equivalence fuzz corpus: 20 seeded synthetic instances, three
-// requirement points each, gap 0 at parallelism 1/2/4 — the settled
+// requirement points each, gap 0 — the settled
 // answer must match the exact solve exactly (including infeasible
 // instances).
 func TestPortfolioFuzzCorpusEquivalence(t *testing.T) {
@@ -149,21 +141,18 @@ func TestPortfolioFuzzCorpusEquivalence(t *testing.T) {
 		db := fuzzDB(t, rng)
 		an := selector.NewAnalysis(db)
 		for _, frac := range []int64{30, 60, 95} {
-			rg := an.MaxGain() * frac / 100
-			for _, w := range portfolioLevels {
-				p := selector.Problem{Required: rg, Budget: budget.Budget{Parallelism: w}}
-				ref, err := an.Solve(context.Background(), p)
-				if err != nil {
-					t.Fatalf("corpus %d rg=%d P=%d: exact: %v", c, rg, w, err)
-				}
-				res, err := Run(context.Background(), an, p, nil, Config{Gap: 0})
-				if err != nil {
-					t.Fatalf("corpus %d rg=%d P=%d: portfolio: %v", c, rg, w, err)
-				}
-				assertSettledMatchesExact(t, fmt.Sprintf("corpus %d rg=%d P=%d", c, rg, w), res, ref)
-				if ref.Status == ilp.Optimal && w == 1 {
-					solved++
-				}
+			p := selector.Problem{Required: an.MaxGain() * frac / 100}
+			ref, err := an.Solve(context.Background(), p)
+			if err != nil {
+				t.Fatalf("corpus %d rg=%d: exact: %v", c, p.Required, err)
+			}
+			res, err := Run(context.Background(), an, p, nil, Config{Gap: 0})
+			if err != nil {
+				t.Fatalf("corpus %d rg=%d: portfolio: %v", c, p.Required, err)
+			}
+			assertSettledMatchesExact(t, fmt.Sprintf("corpus %d rg=%d", c, p.Required), res, ref)
+			if ref.Status == ilp.Optimal {
+				solved++
 			}
 		}
 	}

@@ -23,13 +23,10 @@ package selector
 //   - Warm starts. A point that must be solved is seeded with the
 //     greedy baseline at its own requirement, installed through
 //     ilp.Model.SetWarmStart, which validates the seed and guarantees
-//     it can only tighten pruning, never change the answer. A
-//     multi-worker budget parallelizes *inside* each solve (the
-//     work-stealing branch-and-bound in internal/ilp), never across
-//     points, so the ascending reuse chain — which points are solved,
-//     reused, or propagated — is identical at every parallelism level;
-//     only the in-solve expansion order (and so the per-point node
-//     count, within a few percent) can move.
+//     it can only tighten pruning, never change the answer.
+//
+// Points run strictly in ascending order, so which points are solved,
+// reused, or propagated is deterministic.
 //
 // Sweep, SweepCtx, and SweepCtxObserve are thin adapters over this
 // pipeline; the service's batch executor drives Pipeline.Next directly
@@ -245,13 +242,10 @@ type Pipeline struct {
 }
 
 // NewPipeline builds a lazy iterator over the given required gains.
-// bud applies per point with Parallelism pinned to 1 (the pipeline
-// itself is strictly sequential; SweepEach lifts the pin to put the
-// budget's workers inside each solve); observe, when non-nil, receives
-// every incumbent of every solved point, tagged with the point index.
-// The gains slice is retained, not copied.
+// bud applies per point; observe, when non-nil, receives every
+// incumbent of every solved point, tagged with the point index. The
+// gains slice is retained, not copied.
 func (a *Analysis) NewPipeline(gains []int64, bud budget.Budget, observe func(int, Incumbent)) *Pipeline {
-	bud.Parallelism = 1
 	return &Pipeline{an: a, gains: gains, bud: bud, observe: observe, infeasAt: math.MaxInt64}
 }
 
@@ -329,23 +323,11 @@ func (pl *Pipeline) record(rg int64, sel *Selection) {
 }
 
 // SweepEach runs the pipeline over explicit required gains, invoking
-// each(point) as every point completes, always in gains order. A
-// multi-worker budget puts the workers *inside* each solve (the
-// work-stealing branch-and-bound) rather than across points: the sweep
-// stays the strictly ascending pipeline, so plateau reuse, donor
-// selection, and the monotonicity cut are identical at every
-// parallelism level — deterministic, and never solving a point the
-// serial sweep gets for free. (An earlier revision pooled whole points
-// tightest-first; donor selection then depended on completion order,
-// reuse never fired, and the parallel sweep expanded more nodes than
-// the serial one — the opposite of a speedup on a machine with cores
-// to spare.) observe and each are never invoked concurrently; the
-// sweep aborts on the first solve error.
+// each(point) as every point completes, always in gains order. observe
+// and each run on the calling goroutine; the sweep aborts on the first
+// solve error.
 func (a *Analysis) SweepEach(ctx context.Context, gains []int64, bud budget.Budget, observe func(int, Incumbent), each func(Point)) error {
 	pl := a.NewPipeline(gains, bud, observe)
-	// NewPipeline pins per-point parallelism to 1 for external callers;
-	// the sweep is where the budget's workers belong inside the solves.
-	pl.bud.Parallelism = bud.Parallelism
 	for {
 		pt, ok, err := pl.Next(ctx)
 		if !ok {

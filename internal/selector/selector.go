@@ -129,8 +129,8 @@ type Selection struct {
 	// budget expired before any incumbent existed, it names the
 	// exhausted budget and the selection comes from GreedyBaseline.
 	Degraded string
-	// Search accumulates the low-level ILP search counters (LP solves by
-	// kind, pivots, work-stealing traffic) across both passes.
+	// Search accumulates the low-level ILP search counters (LP solves
+	// and pivots) across both passes.
 	Search ilp.SearchStats
 }
 

@@ -88,12 +88,8 @@ func SweepCtx(ctx context.Context, db *imp.DB, points int, bud budget.Budget) ([
 // This is a thin adapter over the shared-analysis lazy pipeline (see
 // pipeline.go): the program is analyzed once, points whose answer is
 // proven by a looser point complete without solving, and solved points
-// are warm-started. bud.Parallelism >= 2 puts that many workers inside
-// each point's branch-and-bound (the ascending reuse chain itself
-// stays sequential and deterministic); the returned curve is in
-// required-gain order with the same status/gain/area at every
-// parallelism (area up to float round-off when two method sets tie at
-// the optimum and concurrent order lands on the other one).
+// are seeded with the greedy baseline. The returned curve is in
+// required-gain order and deterministic.
 func SweepCtxObserve(ctx context.Context, db *imp.DB, points int, bud budget.Budget, observe func(Incumbent)) ([]SweepPoint, error) {
 	return NewAnalysis(db).SweepPoints(ctx, points, bud, observe)
 }

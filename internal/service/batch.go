@@ -44,9 +44,12 @@ type BatchPoint struct {
 	Catalog  []*partita.IP `json:"catalog,omitempty"`
 	Options  *SpecOptions  `json:"options,omitempty"`
 	// Budget overrides.
-	TimeoutMs   int64 `json:"timeoutMs,omitempty"`
-	MaxNodes    int   `json:"maxNodes,omitempty"`
-	Parallelism int   `json:"parallelism,omitempty"`
+	TimeoutMs int64 `json:"timeoutMs,omitempty"`
+	MaxNodes  int   `json:"maxNodes,omitempty"`
+	// Parallelism is accepted and ignored.
+	//
+	// Deprecated: kept so existing clients' requests still decode.
+	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // BatchSpec is one submitted batch: shared defaults (program, budgets)
@@ -90,9 +93,6 @@ func (b *BatchSpec) point(i int) (JobSpec, error) {
 	}
 	if p.MaxNodes > 0 {
 		spec.MaxNodes = p.MaxNodes
-	}
-	if p.Parallelism > 0 {
-		spec.Parallelism = p.Parallelism
 	}
 	if err := spec.Validate(); err != nil {
 		return JobSpec{}, err
@@ -749,7 +749,7 @@ func (s *Server) runBatch(job *Job) {
 			s.finishBatchPoint(job, i, DispositionFailed, nil, err.Error(), false)
 			continue
 		}
-		gk := fmt.Sprintf("%s|t%d|n%d|p%d", dk, p.spec.TimeoutMs, p.spec.MaxNodes, p.spec.Parallelism)
+		gk := fmt.Sprintf("%s|t%d|n%d", dk, p.spec.TimeoutMs, p.spec.MaxNodes)
 		g, ok := groups[gk]
 		if !ok {
 			g = &group{spec: p.spec}
@@ -816,10 +816,7 @@ func (s *Server) runBatchGroup(ctx context.Context, job *Job, spec JobSpec, idxs
 	for k, i := range idxs {
 		gains[k] = b.points[i].spec.RequiredGain
 	}
-	bud := partita.Budget{MaxNodes: spec.MaxNodes, Parallelism: spec.Parallelism}
-	if bud.Parallelism > s.cfg.MaxParallelism {
-		bud.Parallelism = s.cfg.MaxParallelism
-	}
+	bud := partita.Budget{MaxNodes: spec.MaxNodes}
 	timeout := s.jobTimeout(spec)
 	jobObserve := s.observeJob(job)
 	pl := design.NewSweepPipeline(gains, bud, func(k int, inc partita.Incumbent) {

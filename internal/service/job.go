@@ -58,10 +58,11 @@ type JobSpec struct {
 	// a feasible (anytime) or degraded result.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
 	MaxNodes  int   `json:"maxNodes,omitempty"`
-	// Parallelism asks for that many solver workers inside this job's
-	// solve (0 = serial). The server clamps it to its configured
-	// MaxParallelism, so a job can never grab more cores than the
-	// operator allows on top of the job-level worker pool.
+	// Parallelism is accepted and ignored: every solve runs the serial
+	// branch and bound.
+	//
+	// Deprecated: kept so existing clients' requests still decode; it
+	// has no effect and is left out of the content address.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Mode selects the solver strategy of a select job: "" runs the
 	// exact solver alone, ModePortfolio races the capacity-bound
@@ -141,9 +142,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.MaxNodes < 0 {
 		return fmt.Errorf("service: maxNodes must be >= 0")
-	}
-	if s.Parallelism < 0 {
-		return fmt.Errorf("service: parallelism must be >= 0")
 	}
 	if len(s.PerPath) > 0 && s.Kind != KindSelect {
 		return fmt.Errorf("service: perPath applies only to select jobs")
@@ -273,10 +271,10 @@ func (s *JobSpec) resultKey() (string, error) {
 		"points:"+strconv.Itoa(s.Points),
 		"timeoutMs:"+strconv.FormatInt(s.TimeoutMs, 10),
 		"maxNodes:"+strconv.Itoa(s.MaxNodes),
-		// Parallelism cannot change an exhaustive answer, but under a
-		// budget the anytime incumbent it reaches can differ, so it is
-		// part of the content address.
-		"parallelism:"+strconv.Itoa(s.Parallelism),
+		// The ignored Parallelism field is hashed as its old default, so
+		// every content address written before it was ignored stays
+		// valid and specs differing only in it share one result.
+		"parallelism:0",
 	)
 	if s.Mode != "" {
 		gap := "default"

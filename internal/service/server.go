@@ -45,11 +45,6 @@ type Config struct {
 	// MaxJobs bounds how many jobs are retained for polling; the oldest
 	// finished jobs are evicted first (default 1024).
 	MaxJobs int
-	// MaxParallelism caps the per-job solver Parallelism (default:
-	// GOMAXPROCS). Jobs asking for more are clamped, not rejected: the
-	// request is a performance hint, and the operator's cap is what keeps
-	// Workers × Parallelism from oversubscribing the machine.
-	MaxParallelism int
 	// PortfolioGap is the acceptability threshold applied to portfolio
 	// jobs whose spec leaves Gap unset: a candidate within this proven
 	// relative area gap of optimal is delivered as the first answer
@@ -118,9 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.PortfolioGap <= 0 {
 		c.PortfolioGap = 0.05
@@ -547,10 +539,7 @@ func (s *Server) execute(job *Job) (*JobResult, string, error) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	bud := partita.Budget{MaxNodes: spec.MaxNodes, Parallelism: spec.Parallelism}
-	if bud.Parallelism > s.cfg.MaxParallelism {
-		bud.Parallelism = s.cfg.MaxParallelism
-	}
+	bud := partita.Budget{MaxNodes: spec.MaxNodes}
 
 	switch spec.Kind {
 	case KindSelect:
@@ -778,11 +767,13 @@ type EditRequest struct {
 	// Gap overrides the portfolio acceptability threshold (nil keeps
 	// the parent's, or the server default).
 	Gap *float64 `json:"gap,omitempty"`
-	// TimeoutMs, MaxNodes, and Parallelism override the parent's
-	// budgets when non-nil.
-	TimeoutMs   *int64 `json:"timeoutMs,omitempty"`
-	MaxNodes    *int   `json:"maxNodes,omitempty"`
-	Parallelism *int   `json:"parallelism,omitempty"`
+	// TimeoutMs and MaxNodes override the parent's budgets when non-nil.
+	TimeoutMs *int64 `json:"timeoutMs,omitempty"`
+	MaxNodes  *int   `json:"maxNodes,omitempty"`
+	// Parallelism is accepted and ignored.
+	//
+	// Deprecated: kept so existing clients' requests still decode.
+	Parallelism *int `json:"parallelism,omitempty"`
 }
 
 // handleEdit derives a new job from a finished select job by appending
@@ -828,9 +819,6 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.MaxNodes != nil {
 		spec.MaxNodes = *req.MaxNodes
-	}
-	if req.Parallelism != nil {
-		spec.Parallelism = *req.Parallelism
 	}
 
 	job, err := s.Submit(spec)

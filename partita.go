@@ -314,7 +314,7 @@ const (
 	// point: milliseconds, carries the LP lower bound, proves
 	// infeasibility.
 	EngineLPRound = portfolio.LPRound
-	// EngineExact is the parallel branch and bound — the only engine
+	// EngineExact is the branch and bound — the only engine
 	// that proves optimality.
 	EngineExact = portfolio.Exact
 )
@@ -408,7 +408,7 @@ func wrapPortfolio(r *portfolio.Result, an *selector.Analysis, p selector.Proble
 }
 
 // SelectPortfolio races the greedy baseline, LP-relaxation + rounding,
-// and the exact parallel branch and bound over the Design's shared
+// and the exact branch and bound over the Design's shared
 // analysis, delivering the first *acceptable* answer (feasible, with a
 // proven relative area gap ≤ opt.Gap) through opt.OnFirst while the
 // exact proof keeps running behind it. A proof — the exact optimum or
