@@ -50,8 +50,7 @@ func (m *Model) SolveCtx(ctx context.Context, bud budget.Budget) (*Solution, err
 		if r.err != nil {
 			return nil, r.err
 		}
-		return &Solution{Status: r.status, Objective: r.obj, Values: r.x, Nodes: 1, Bound: r.obj,
-			Stats: SearchStats{ColdLPs: 1, PrimalPivots: int64(r.pivots)}}, nil
+		return r.solution(), nil
 	}
 	return m.branchAndBound(ctx, bud)
 }
@@ -304,8 +303,7 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget) (*Solutio
 		nodes++
 		fx.load(len(m.vars), node)
 		r := m.solveRelaxation(fx, lim, ar)
-		stats.ColdLPs++
-		stats.PrimalPivots += int64(r.pivots)
+		stats.Add(r.stats())
 		if r.err != nil {
 			return stop(r.err, node.bound)
 		}

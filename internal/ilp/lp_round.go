@@ -3,7 +3,6 @@ package ilp
 import (
 	"context"
 	"errors"
-	"math"
 
 	"partita/internal/budget"
 )
@@ -28,6 +27,8 @@ type BoundError struct {
 	// nearest-integer snap failed, but a caller that knows what the
 	// variables mean usually can do better.
 	X []float64
+	// Stats counts the one relaxation solved, as Solution.Stats would.
+	Stats SearchStats
 }
 
 func (e *BoundError) Error() string { return ErrNoRounding.Error() }
@@ -56,7 +57,8 @@ func (e *BoundError) Unwrap() error { return ErrNoRounding }
 //   - with nothing feasible in hand, a *BoundError (matching
 //     ErrNoRounding) that still carries the proven relaxation bound.
 //
-// One simplex solve, one node: Solution.Nodes is always 1. The context
+// One simplex solve, one node: Solution.Nodes is always 1 and
+// Solution.Stats counts one cold LP and its pivots. The context
 // deadline and bud.MaxSimplexIter bound the relaxation itself.
 func (m *Model) SolveLPRound(ctx context.Context, bud budget.Budget) (*Solution, error) {
 	if err := m.validate(); err != nil {
@@ -70,23 +72,21 @@ func (m *Model) SolveLPRound(ctx context.Context, bud budget.Budget) (*Solution,
 	if r.err != nil {
 		return nil, r.err
 	}
-	switch r.status {
-	case Infeasible:
-		return &Solution{Status: Infeasible, Nodes: 1, Bound: math.Inf(1)}, nil
-	case Unbounded:
-		return &Solution{Status: Unbounded, Nodes: 1, Bound: math.Inf(-1)}, nil
+	if r.status != Optimal {
+		return r.solution(), nil
 	}
 	bound := r.obj // LP optimum bounds the ILP optimum in the model's own sense
+	stats := r.stats()
 
 	if m.pickBranch(r.x, nil) < 0 {
 		// Integral within tolerance: snapping is exact and the LP optimum
 		// is the ILP optimum.
 		x := m.roundExact(r.x)
 		if obj, ok := m.evalPoint(x); ok {
-			return &Solution{Status: Optimal, Objective: obj, Values: x, Nodes: 1, Bound: obj}, nil
+			return &Solution{Status: Optimal, Objective: obj, Values: x, Nodes: 1, Bound: obj, Stats: stats}, nil
 		}
 	} else if x, obj, ok := m.roundToFeasible(r.x); ok {
-		return &Solution{Status: Feasible, Objective: obj, Values: x, Nodes: 1, Bound: bound}, nil
+		return &Solution{Status: Feasible, Objective: obj, Values: x, Nodes: 1, Bound: bound, Stats: stats}, nil
 	}
 
 	if x, objMin, ok := m.warmIncumbent(); ok {
@@ -94,7 +94,7 @@ func (m *Model) SolveLPRound(ctx context.Context, bud budget.Budget) (*Solution,
 		if m.sense == Maximize {
 			obj = -obj
 		}
-		return &Solution{Status: Feasible, Objective: obj, Values: x, Nodes: 1, Bound: bound}, nil
+		return &Solution{Status: Feasible, Objective: obj, Values: x, Nodes: 1, Bound: bound, Stats: stats}, nil
 	}
-	return nil, &BoundError{Bound: bound, X: append([]float64(nil), r.x...)}
+	return nil, &BoundError{Bound: bound, X: append([]float64(nil), r.x...), Stats: stats}
 }

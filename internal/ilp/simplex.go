@@ -39,6 +39,11 @@ type tableau struct {
 	// pivots counts pivot applications since the last reset; solvers
 	// fold it into SearchStats.
 	pivots int
+	// mat backs the rows of a and then the two cost rows.
+	mat []float64
+	// Scratch of one pivot: the pivot row's nonzero columns, and the
+	// rows with a nonzero entry in the pivot column.
+	cols, rows []int
 }
 
 // lpResult is the outcome of one relaxation solve in model-variable space.
@@ -50,6 +55,25 @@ type lpResult struct {
 	// err is non-nil when the solve was interrupted by a resource budget
 	// (pivot limit or context deadline); status is then meaningless.
 	err error
+}
+
+// stats counts the relaxation as one cold LP.
+func (r lpResult) stats() SearchStats {
+	return SearchStats{ColdLPs: 1, PrimalPivots: int64(r.pivots)}
+}
+
+// solution is r as the answer of a one-node solve. An infeasible or
+// unbounded relaxation reports the Bound branch and bound reports for
+// those statuses: +Inf and -Inf, in either sense.
+func (r lpResult) solution() *Solution {
+	s := &Solution{Status: r.status, Objective: r.obj, Values: r.x, Nodes: 1, Bound: r.obj, Stats: r.stats()}
+	switch r.status {
+	case Infeasible:
+		s.Bound = math.Inf(1)
+	case Unbounded:
+		s.Bound = math.Inf(-1)
+	}
+	return s
 }
 
 // limits bounds one relaxation solve: ctx carries the wall-clock budget
@@ -67,117 +91,60 @@ func (l limits) iterCap() int {
 	return maxSimplex
 }
 
-// arena recycles the tableau and scratch buffers of solveRelaxation
-// across branch-and-bound nodes. Buffers are handed out bump-allocator
-// style and reclaimed all at once by reset() at the start of the next
-// solve, so a relaxation costs no tableau allocations in steady state.
-// Each solve owns one arena; a nil arena degrades every request
-// to a plain make (the one-shot pure-LP path).
+// arena carries one solve's relaxation storage from node to node of a
+// branch-and-bound search, so a relaxation costs no allocations in
+// steady state. solveRelaxation counts a node's rows and columns before
+// it writes anything, and a buffer is replaced only when a node needs
+// more than every earlier one, by one of exactly that size; nothing
+// grows while a tableau is being filled. Arenas are not pooled across
+// solves: a pool keeps the largest tableaux alive between solves and
+// raises the resident set.
 type arena struct {
-	floats []float64
-	nf     int
-	ints   []int
-	ni     int
-	bools  []bool
-	nb     int
-	rows   []lpRow
-	aRows  [][]float64
-	tab    tableau
+	free  []int // model index of each structural column
+	colOf []int // structural column of each model variable, -1 if fixed
+	tab   tableau
 }
 
-func (a *arena) reset() {
-	if a != nil {
-		a.nf, a.ni, a.nb = 0, 0, 0
+// take returns buf resized to n zeroed elements, allocating exactly n
+// when buf is too short.
+func take[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
-// f64 hands out a zeroed float slice of length n. Growing the backing
-// store mid-solve is safe: slices handed out earlier keep the old array,
-// which stays valid for the rest of this solve.
-func (a *arena) f64(n int) []float64 {
-	if a == nil {
-		return make([]float64, n)
+// shift is the value v's structural column is measured from: its lower
+// bound. The selection problems never use variables unbounded below; a
+// -Inf lower bound becomes a large negative shift instead of a split
+// column.
+func (v variable) shift() float64 {
+	if math.IsInf(v.lo, -1) {
+		return -1e12
 	}
-	if a.nf+n > len(a.floats) {
-		a.floats = make([]float64, 2*len(a.floats)+n)
-		a.nf = 0
-	}
-	s := a.floats[a.nf : a.nf+n : a.nf+n]
-	a.nf += n
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	return v.lo
 }
 
-func (a *arena) int(n int) []int {
-	if a == nil {
-		return make([]int, n)
+// relOf is the relation of tableau row i, whose shifted right-hand side
+// is rhs: the model's own for constraint rows, ≤ for the upper-bound
+// rows after them, with LE and GE swapped when a negative rhs negates
+// the row.
+func (m *Model) relOf(i int, rhs float64) Rel {
+	rel := LE
+	if i < len(m.cons) {
+		rel = m.cons[i].rel
 	}
-	if a.ni+n > len(a.ints) {
-		a.ints = make([]int, 2*len(a.ints)+n)
-		a.ni = 0
+	if rhs < 0 {
+		switch rel {
+		case LE:
+			rel = GE
+		case GE:
+			rel = LE
+		}
 	}
-	s := a.ints[a.ni : a.ni+n : a.ni+n]
-	a.ni += n
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func (a *arena) bool(n int) []bool {
-	if a == nil {
-		return make([]bool, n)
-	}
-	if a.nb+n > len(a.bools) {
-		a.bools = make([]bool, 2*len(a.bools)+n)
-		a.nb = 0
-	}
-	s := a.bools[a.nb : a.nb+n : a.nb+n]
-	a.nb += n
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-// rowBuf hands out an empty row slice with capacity for n rows.
-func (a *arena) rowBuf(n int) []lpRow {
-	if a == nil {
-		return make([]lpRow, 0, n)
-	}
-	if cap(a.rows) < n {
-		a.rows = make([]lpRow, 0, n)
-	}
-	return a.rows[:0]
-}
-
-// rowPtrs hands out the slice-of-rows backbone of the tableau matrix.
-func (a *arena) rowPtrs(n int) [][]float64 {
-	if a == nil {
-		return make([][]float64, n)
-	}
-	if cap(a.aRows) < n {
-		a.aRows = make([][]float64, n)
-	}
-	return a.aRows[:n]
-}
-
-// tableauBuf hands out the (single) reusable tableau shell.
-func (a *arena) tableauBuf() *tableau {
-	if a == nil {
-		return &tableau{}
-	}
-	return &a.tab
-}
-
-// lpRow is one constraint row of the relaxation in shifted free-column
-// space, before standard-form assembly.
-type lpRow struct {
-	coef []float64 // over free columns
-	rel  Rel
-	rhs  float64
+	return rel
 }
 
 // solveRelaxation solves the LP relaxation of m with the variables in fx
@@ -185,122 +152,139 @@ type lpRow struct {
 // the unrestricted relaxation). ar supplies reusable tableau storage and
 // may be nil for a one-shot solve.
 func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
-	ar.reset()
-	n := len(m.vars)
-	// Shift amounts and which variables are free.
-	shift := ar.f64(n)
-	free := ar.int(n)[:0] // model index of each structural column
-	colOf := ar.int(n)
-	for j := range colOf {
-		colOf[j] = -1
+	if ar == nil {
+		ar = &arena{}
 	}
+	n := len(m.vars)
+	// Structural columns are the free variables, shifted to their lower
+	// bounds; each one with a finite upper bound adds a ≤ row after the
+	// constraint rows.
+	free := take(ar.free, n)[:0]
+	colOf := take(ar.colOf, n)
+	nRows := len(m.cons)
 	for j, v := range m.vars {
+		colOf[j] = -1
 		if fx.fixed(VarID(j)) {
 			continue
 		}
-		lo := v.lo
-		if math.IsInf(lo, -1) {
-			// The selection problems never use free variables; treat a
-			// -Inf lower bound as a large negative shift instead of
-			// splitting the column.
-			lo = -1e12
-		}
-		shift[j] = lo
 		colOf[j] = len(free)
 		free = append(free, j)
-	}
-
-	// Exact row count: one per model constraint plus one upper-bound row
-	// per free variable with a finite hi — lets the arena-backed rows
-	// slice be sized once, so addRow never reallocates it.
-	maxRows := len(m.cons)
-	for _, j := range free {
-		if !math.IsInf(m.vars[j].hi, 1) {
-			maxRows++
+		if !math.IsInf(v.hi, 1) {
+			nRows++
 		}
 	}
-	rows := ar.rowBuf(maxRows)
-	addRow := func(coef []float64, rel Rel, rhs float64) {
-		if rhs < 0 {
-			for i := range coef {
-				coef[i] = -coef[i]
-			}
-			rhs = -rhs
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		rows = append(rows, lpRow{coef: coef, rel: rel, rhs: rhs})
-	}
-
-	for _, c := range m.cons {
-		coef := ar.f64(len(free))
-		rhs := c.rhs
-		for _, t := range c.terms {
-			if fv, ok := fx.get(t.Var); ok {
-				rhs -= t.Coef * fv
-				continue
-			}
-			rhs -= t.Coef * shift[t.Var]
-			coef[colOf[t.Var]] += t.Coef
-		}
-		addRow(coef, c.rel, rhs)
-	}
-	// Finite upper bounds become explicit rows in shifted space.
-	for col, j := range free {
-		hi := m.vars[j].hi
-		if math.IsInf(hi, 1) {
-			continue
-		}
-		coef := ar.f64(len(free))
-		coef[col] = 1
-		addRow(coef, LE, hi-shift[j])
-	}
-
-	// Row equilibration: scale each row so its largest magnitude is 1.
-	for i := range rows {
-		mx := math.Abs(rows[i].rhs)
-		for _, v := range rows[i].coef {
-			if a := math.Abs(v); a > mx {
-				mx = a
-			}
-		}
-		if mx > 1 {
-			inv := 1 / mx
-			for k := range rows[i].coef {
-				rows[i].coef[k] *= inv
-			}
-			rows[i].rhs *= inv
-		}
-	}
-
-	// Assemble the tableau: structural columns, then one slack/surplus
-	// per inequality, then one artificial per GE/EQ row.
+	ar.free, ar.colOf = free, colOf
 	nStruct := len(free)
-	nSlack := 0
-	nArt := 0
-	for _, r := range rows {
-		if r.rel != EQ {
+
+	// Shifted right-hand sides come first: their signs settle each row's
+	// relation, and with it the slack and artificial column counts that
+	// size the tableau.
+	t := &ar.tab
+	t.b = take(t.b, nRows)
+	for i, c := range m.cons {
+		rhs := c.rhs
+		for _, tm := range c.terms {
+			if fv, ok := fx.get(tm.Var); ok {
+				rhs -= tm.Coef * fv
+			} else {
+				rhs -= tm.Coef * m.vars[tm.Var].shift()
+			}
+		}
+		t.b[i] = rhs
+	}
+	i := len(m.cons)
+	for _, j := range free {
+		if v := m.vars[j]; !math.IsInf(v.hi, 1) {
+			t.b[i] = v.hi - v.shift()
+			i++
+		}
+	}
+	nSlack, nArt := 0, 0
+	for i, rhs := range t.b {
+		rel := m.relOf(i, rhs)
+		if rel != EQ {
 			nSlack++
 		}
-		if r.rel != LE {
+		if rel != LE {
 			nArt++
 		}
 	}
+
+	// Size the tableau: structural columns, then one slack/surplus per
+	// inequality, then one artificial per GE/EQ row.
 	nTot := nStruct + nSlack + nArt
-	t := ar.tableauBuf()
-	t.m = len(rows)
-	t.n = nTot
-	t.a = ar.rowPtrs(len(rows))
-	t.b = ar.f64(len(rows))
-	t.basis = ar.int(len(rows))
-	t.artificial = ar.bool(nTot)
-	t.d[0] = ar.f64(nTot)
-	t.d[1] = ar.f64(nTot)
-	t.obj[0], t.obj[1] = 0, 0
+	t.reset(nRows, nTot)
+
+	slackAt := nStruct
+	artAt := nStruct + nSlack
+	// finish completes row i once its structural coefficients are
+	// written; mx is the largest of their magnitudes.
+	finish := func(i int, mx float64) {
+		row := t.a[i]
+		rel := m.relOf(i, t.b[i])
+		coef := row[:nStruct]
+		if t.b[i] < 0 {
+			for k := range coef {
+				coef[k] = -coef[k]
+			}
+			t.b[i] = -t.b[i]
+		}
+		// Row equilibration: scale each row so its largest magnitude is 1.
+		if t.b[i] > mx {
+			mx = t.b[i]
+		}
+		if mx > 1 {
+			inv := 1 / mx
+			for k := range coef {
+				coef[k] *= inv
+			}
+			t.b[i] *= inv
+		}
+		switch rel {
+		case LE:
+			row[slackAt] = 1
+			t.basis[i] = slackAt
+			slackAt++
+		case GE:
+			row[slackAt] = -1
+			slackAt++
+			row[artAt] = 1
+			t.artificial[artAt] = true
+			t.basis[i] = artAt
+			artAt++
+		case EQ:
+			row[artAt] = 1
+			t.artificial[artAt] = true
+			t.basis[i] = artAt
+			artAt++
+		}
+	}
+	// Write each row's structural coefficients straight into the tableau.
+	for i, c := range m.cons {
+		row := t.a[i]
+		for _, tm := range c.terms {
+			if col := colOf[tm.Var]; col >= 0 {
+				row[col] += tm.Coef
+			}
+		}
+		mx := 0.0
+		for _, tm := range c.terms {
+			if col := colOf[tm.Var]; col >= 0 {
+				if a := math.Abs(row[col]); a > mx {
+					mx = a
+				}
+			}
+		}
+		finish(i, mx)
+	}
+	i = len(m.cons)
+	for col, j := range free {
+		if !math.IsInf(m.vars[j].hi, 1) {
+			t.a[i][col] = 1
+			finish(i, 1)
+			i++
+		}
+	}
 
 	// Real costs over structural columns (converted to minimization).
 	sgn := 1.0
@@ -312,40 +296,14 @@ func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
 		if fv, ok := fx.get(VarID(j)); ok {
 			constObj += sgn * v.obj * fv
 		} else {
-			constObj += sgn * v.obj * shift[j]
+			constObj += sgn * v.obj * v.shift()
 		}
 	}
 	for col, j := range free {
 		t.d[1][col] = sgn * m.vars[j].obj
 	}
-
-	slackAt := nStruct
-	artAt := nStruct + nSlack
-	for i, r := range rows {
-		t.a[i] = ar.f64(nTot)
-		copy(t.a[i], r.coef)
-		t.b[i] = r.rhs
-		switch r.rel {
-		case LE:
-			t.a[i][slackAt] = 1
-			t.basis[i] = slackAt
-			slackAt++
-		case GE:
-			t.a[i][slackAt] = -1
-			slackAt++
-			t.a[i][artAt] = 1
-			t.artificial[artAt] = true
-			t.basis[i] = artAt
-			artAt++
-		case EQ:
-			t.a[i][artAt] = 1
-			t.artificial[artAt] = true
-			t.basis[i] = artAt
-			artAt++
-		}
-	}
 	// Price out phase-1 costs for the artificial basis.
-	for i := range rows {
+	for i := range t.a {
 		if t.artificial[t.basis[i]] {
 			for j := 0; j < nTot; j++ {
 				t.d[0][j] -= t.a[i][j]
@@ -362,7 +320,6 @@ func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
 	}
 
 	// Phase 1.
-	t.pivots = 0
 	st, err := t.iterate(0, true, lim)
 	if err != nil {
 		return lpResult{err: err, pivots: t.pivots}
@@ -390,11 +347,11 @@ func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
 	// the arena's solve cycle (callers keep it for incumbents), so it is
 	// allocated fresh rather than from the arena.
 	x := make([]float64, n)
-	for j := range m.vars {
+	for j, v := range m.vars {
 		if fv, ok := fx.get(VarID(j)); ok {
 			x[j] = fv
 		} else {
-			x[j] = shift[j]
+			x[j] = v.shift()
 		}
 	}
 	for i, bi := range t.basis {
@@ -409,6 +366,25 @@ func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
 	return lpResult{status: Optimal, obj: obj, x: x, pivots: t.pivots}
 }
 
+// reset sizes t to m rows and n columns, all zero, keeping b (already
+// filled) and reusing the storage of earlier solves where it fits.
+func (t *tableau) reset(m, n int) {
+	t.m, t.n = m, n
+	t.mat = take(t.mat, (m+2)*n)
+	t.a = take(t.a, m)
+	for i := range t.a {
+		t.a[i] = t.mat[i*n : (i+1)*n : (i+1)*n]
+	}
+	t.d[0] = t.mat[m*n : (m+1)*n : (m+1)*n]
+	t.d[1] = t.mat[(m+1)*n : (m+2)*n : (m+2)*n]
+	t.obj = [2]float64{}
+	t.basis = take(t.basis, m)
+	t.artificial = take(t.artificial, n)
+	t.cols = take(t.cols, n)[:0]
+	t.rows = take(t.rows, m)[:0]
+	t.pivots = 0
+}
+
 // iterate runs simplex pivots on cost row k until optimal or unbounded.
 // When allowArt is false, artificial columns may not enter the basis.
 // Pivoting uses Dantzig's rule (most negative reduced cost) for speed,
@@ -420,9 +396,9 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 	maxIter := lim.iterCap()
 	for iter := 0; iter < maxIter; iter++ {
 		if iter&0xff == 0xff {
-			// Deadline check every 256 pivots: cheap relative to a pivot
-			// over the whole tableau, frequent enough that even a single
-			// huge LP cannot overrun a deadline by much.
+			// Deadline check every 256 pivots: cheap relative to the
+			// pricing and ratio scans of a pivot, frequent enough that
+			// even a single huge LP cannot overrun a deadline by much.
 			if err := budget.Check(lim.ctx); err != nil {
 				return Optimal, err
 			}
@@ -453,11 +429,18 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 		if enter < 0 {
 			return Optimal, nil
 		}
-		// Ratio test, Bland tiebreak on lowest basis index.
+		// Ratio test, Bland tiebreak on lowest basis index. The scan
+		// down the entering column also collects the rows the pivot
+		// must update: those with a nonzero entry there.
 		leave := -1
 		best := math.Inf(1)
+		rows := t.rows[:0]
 		for i := 0; i < t.m; i++ {
 			aij := t.a[i][enter]
+			if aij == 0 {
+				continue
+			}
+			rows = append(rows, i)
 			if aij <= pivotEps {
 				continue
 			}
@@ -467,10 +450,11 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 				leave = i
 			}
 		}
+		t.rows = rows
 		if leave < 0 {
 			return Unbounded, nil
 		}
-		t.pivot(leave, enter)
+		t.pivot(leave, enter, rows)
 	}
 	// Pivot cap exceeded. Surface it as a budget error rather than
 	// silently returning a non-optimal basis; branch and bound converts
@@ -478,43 +462,51 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 	return Optimal, budget.ErrIterLimit
 }
 
-// pivot brings column q into the basis at row r.
-func (t *tableau) pivot(r, q int) {
+// pivot brings column q into the basis at row r. rows must list every
+// row with a nonzero entry in column q (r may be among them). Only
+// nonzeros are touched: a row whose column-q entry
+// is zero, or a column where the scaled pivot row is zero, would be
+// updated by subtracting zero. Every other update runs in the order of
+// the dense row operation, so the tableau comes out as a dense pivot
+// leaves it.
+func (t *tableau) pivot(r, q int, rows []int) {
 	t.pivots++
-	piv := t.a[r][q]
-	inv := 1 / piv
 	row := t.a[r]
-	for j := range row {
-		row[j] *= inv
+	inv := 1 / row[q]
+	cols := t.cols[:0]
+	for j, v := range row {
+		if v != 0 {
+			row[j] = v * inv
+			cols = append(cols, j)
+		}
 	}
+	t.cols = cols
 	t.b[r] *= inv
-	for i := 0; i < t.m; i++ {
+	br := t.b[r]
+	for _, i := range rows {
 		if i == r {
 			continue
 		}
-		f := t.a[i][q]
-		if f == 0 {
-			continue
-		}
 		ai := t.a[i]
-		for j := range ai {
+		f := ai[q]
+		for _, j := range cols {
 			ai[j] -= f * row[j]
 		}
-		t.b[i] -= f * t.b[r]
+		t.b[i] -= f * br
 		if t.b[i] < 0 && t.b[i] > -1e-11 {
 			t.b[i] = 0
 		}
 	}
-	for k := 0; k < 2; k++ {
+	for k := range t.d {
 		f := t.d[k][q]
 		if f == 0 {
 			continue
 		}
 		dk := t.d[k]
-		for j := range dk {
+		for _, j := range cols {
 			dk[j] -= f * row[j]
 		}
-		t.obj[k] += f * t.b[r]
+		t.obj[k] += f * br
 	}
 	t.basis[r] = q
 }
@@ -534,7 +526,14 @@ func (t *tableau) driveOutArtificials() {
 				continue
 			}
 			if math.Abs(t.a[i][j]) > 1e-7 {
-				t.pivot(i, j)
+				rows := t.rows[:0]
+				for r := 0; r < t.m; r++ {
+					if t.a[r][j] != 0 {
+						rows = append(rows, r)
+					}
+				}
+				t.rows = rows
+				t.pivot(i, j, rows)
 				break
 			}
 		}

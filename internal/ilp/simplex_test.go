@@ -1,8 +1,11 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"partita/internal/budget"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -96,6 +99,80 @@ func TestLPUnbounded(t *testing.T) {
 	}
 	if s.Status != Unbounded {
 		t.Fatalf("status = %v, want unbounded", s.Status)
+	}
+}
+
+// TestLPEntryPointsAgree: a pure LP solved by SolveCtx, the same model
+// with one unused binary (so branch and bound runs), and SolveLPRound
+// report the same Status and Bound, in both senses: +Inf for an
+// infeasible relaxation, -Inf for an unbounded one, the optimum
+// otherwise. Each of them solves exactly one LP and counts it.
+func TestLPEntryPointsAgree(t *testing.T) {
+	type build func(m *Model)
+	cases := []struct {
+		name   string
+		build  build
+		status Status
+		bound  map[Sense]float64
+	}{
+		{"infeasible", func(m *Model) {
+			x := m.AddVar("x", 0, 1, 1)
+			m.AddConstraint("big", []Term{{x, 1}}, GE, 5)
+		}, Infeasible, map[Sense]float64{Minimize: math.Inf(1), Maximize: math.Inf(1)}},
+		{"unbounded", func(m *Model) {
+			// x − y ≤ 1 with y free above: x + y grows without limit for
+			// Maximize, and −x − y for Minimize.
+			sgn := 1.0
+			if m.sense == Minimize {
+				sgn = -1
+			}
+			x := m.AddVar("x", 0, math.Inf(1), sgn)
+			y := m.AddVar("y", 0, math.Inf(1), sgn)
+			m.AddConstraint("diff", []Term{{x, 1}, {y, -1}}, LE, 1)
+		}, Unbounded, map[Sense]float64{Minimize: math.Inf(-1), Maximize: math.Inf(-1)}},
+		{"optimal", func(m *Model) {
+			// x ≤ 4, y ≤ 3, x + y ≥ 2: minimum of x + 2y is 2, maximum 10.
+			x := m.AddVar("x", 0, 4, 1)
+			y := m.AddVar("y", 0, 3, 2)
+			m.AddConstraint("cover", []Term{{x, 1}, {y, 1}}, GE, 2)
+		}, Optimal, map[Sense]float64{Minimize: 2, Maximize: 10}},
+	}
+	for _, c := range cases {
+		for _, sense := range []Sense{Minimize, Maximize} {
+			label := c.name + "/min"
+			if sense == Maximize {
+				label = c.name + "/max"
+			}
+			lp := NewModel(sense)
+			c.build(lp)
+			withBinary := NewModel(sense)
+			c.build(withBinary)
+			withBinary.AddBinary("unused", 0)
+			solvers := []struct {
+				name  string
+				solve func() (*Solution, error)
+			}{
+				{"SolveCtx", func() (*Solution, error) { return lp.SolveCtx(context.Background(), budget.Budget{}) }},
+				{"SolveCtx+binary", func() (*Solution, error) { return withBinary.SolveCtx(context.Background(), budget.Budget{}) }},
+				{"SolveLPRound", func() (*Solution, error) { return lp.SolveLPRound(context.Background(), budget.Budget{}) }},
+			}
+			for _, sv := range solvers {
+				s, err := sv.solve()
+				if err != nil {
+					t.Fatalf("%s/%s: %v", label, sv.name, err)
+				}
+				want := c.bound[sense]
+				if s.Status != c.status || s.Bound != want {
+					t.Errorf("%s/%s: %v with bound %v, want %v with bound %v", label, sv.name, s.Status, s.Bound, c.status, want)
+				}
+				if c.status == Optimal && s.Objective != want {
+					t.Errorf("%s/%s: objective %v, want %v", label, sv.name, s.Objective, want)
+				}
+				if s.Nodes != 1 || s.Stats.ColdLPs != 1 || s.Stats.PrimalPivots == 0 {
+					t.Errorf("%s/%s: %d nodes, stats %+v, want one node and one cold LP with its pivots", label, sv.name, s.Nodes, s.Stats)
+				}
+			}
+		}
 	}
 }
 

@@ -313,7 +313,8 @@ func (a *Analysis) SolveSeeded(ctx context.Context, p Problem, seed *Selection) 
 // labeled Optimal); when rounding fails and no valid seed rescues it,
 // the engine has no answer and the error wraps ilp.ErrNoRounding — but
 // the returned bound is still the proven LP bound, so the caller can
-// judge other engines' candidates against it.
+// judge other engines' candidates against it. Every returned selection
+// carries the one cold LP and its pivots in Search.
 func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Selection, float64, error) {
 	if p.DB == nil {
 		p.DB = a.db
@@ -343,6 +344,7 @@ func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Se
 		if errors.As(err, &be) {
 			if sel := in.repairLP(h, be.X); sel != nil {
 				sel.Gap = relAreaGap(sel.Area, be.Bound)
+				sel.Search = be.Stats
 				return sel, be.Bound, nil
 			}
 			return nil, be.Bound, err
@@ -351,16 +353,17 @@ func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Se
 	}
 	switch s.Status {
 	case ilp.Infeasible:
-		return &Selection{Status: ilp.Infeasible, Nodes: s.Nodes}, math.Inf(1), nil
+		return &Selection{Status: ilp.Infeasible, Nodes: s.Nodes, Search: s.Stats}, math.Inf(1), nil
 	case ilp.Unbounded:
 		// Defensive: the area objective is non-negative, so the
 		// relaxation cannot be unbounded in practice.
-		return &Selection{Status: ilp.Unbounded, Nodes: s.Nodes}, math.Inf(-1), nil
+		return &Selection{Status: ilp.Unbounded, Nodes: s.Nodes, Search: s.Stats}, math.Inf(-1), nil
 	}
 	bound := s.Bound
 	sel := in.decode(h, s, s.Nodes)
 	sel.Status = ilp.Feasible
 	sel.Gap = relAreaGap(sel.Area, bound)
+	sel.Search = s.Stats
 	return sel, bound, nil
 }
 
