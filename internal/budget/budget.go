@@ -29,7 +29,7 @@ var (
 	ErrDeadline = errors.New("budget: wall-clock budget exhausted")
 	// ErrNodeLimit reports that the branch-and-bound node budget ran out.
 	ErrNodeLimit = errors.New("budget: branch-and-bound node budget exhausted")
-	// ErrIterLimit reports that a simplex pivot budget ran out.
+	// ErrIterLimit reports that a simplex iteration budget ran out.
 	ErrIterLimit = errors.New("budget: simplex iteration budget exhausted")
 	// ErrStepLimit reports that a simulation step budget ran out.
 	ErrStepLimit = errors.New("budget: simulation step budget exhausted")
@@ -42,8 +42,9 @@ type Budget struct {
 	// MaxNodes bounds the number of branch-and-bound nodes explored
 	// across one Solve call (0 = unlimited).
 	MaxNodes int
-	// MaxSimplexIter bounds the pivots of each LP relaxation solve
-	// (0 = the solver's built-in safety cap).
+	// MaxSimplexIter bounds the simplex iterations of each LP
+	// relaxation solve, pivots and bound flips alike (0 = the solver's
+	// built-in safety cap).
 	MaxSimplexIter int
 	// Parallelism is ignored: every solve runs the serial
 	// branch-and-bound, which explores nodes in a fixed, reproducible

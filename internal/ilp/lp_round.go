@@ -58,8 +58,9 @@ func (e *BoundError) Unwrap() error { return ErrNoRounding }
 //     ErrNoRounding) that still carries the proven relaxation bound.
 //
 // One simplex solve, one node: Solution.Nodes is always 1 and
-// Solution.Stats counts one cold LP and its pivots. The context
-// deadline and bud.MaxSimplexIter bound the relaxation itself.
+// Solution.Stats counts one cold LP with its pivots and bound flips.
+// The context deadline and bud.MaxSimplexIter bound the relaxation
+// itself.
 func (m *Model) SolveLPRound(ctx context.Context, bud budget.Budget) (*Solution, error) {
 	if err := m.validate(); err != nil {
 		return nil, err

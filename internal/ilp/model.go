@@ -1,19 +1,24 @@
 // Package ilp provides a small, self-contained mixed 0-1 integer linear
-// programming toolkit: a two-phase primal simplex solver for linear
-// relaxations and a best-first branch-and-bound driver for binary decision
-// variables.
+// programming toolkit: a two-phase bounded-variable primal simplex
+// solver for linear relaxations and a best-first branch-and-bound driver
+// for binary decision variables.
 //
 // It exists so that the S-instruction selection problem of Choi et al.
 // (DAC 1999) can be solved exactly without any external solver. Problem
 // instances in that domain are small (tens to hundreds of binary
 // variables and constraints), so every node re-solves its relaxation
-// cold on a dense tableau. Each node's tableau is sized exactly from a
-// count of its rows, slack and artificial columns, in storage the
-// search reuses from node to node. Its rows are nearly empty (a pivot
-// row averages 11 nonzero columns of 306 on the paper's tables), so a
-// pivot updates only the nonzero columns of the pivot row, in the rows
-// with a nonzero pivot-column entry; the values it leaves are those of
-// the full-row update.
+// cold on a dense tableau. A presolve first turns every constraint the
+// node's fixings leave with one free variable into a bound on it, so the
+// tableau holds only rows coupling two or more free variables. Variable
+// bounds stay out of it too: each column carries its upper bound, and
+// the ratio test stops at a basic variable reaching either bound or
+// flips the entering column to its own. Each node's tableau is sized
+// exactly from a count of its rows, slack and artificial columns, in
+// storage the search reuses from node to node. Its rows are nearly empty
+// (a pivot row averages 12 nonzero columns of 196 on the paper's
+// tables), so a pivot updates only the nonzero columns of the pivot row,
+// in the rows with a nonzero pivot-column entry; the values it leaves
+// are those of the full-row update.
 package ilp
 
 import (

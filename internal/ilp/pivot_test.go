@@ -4,12 +4,14 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// The dense reference kernel: the full-row pivot the sparse one must
-// reproduce exactly, with the loops that drive it. It shares no code
-// with pivot, iterate or driveOutArtificials.
+// The dense reference kernel: the full-row pivot, bound flip and row
+// complement the sparse ones must reproduce exactly, with the loops
+// that drive them. It shares no code with pivot, flipColumn,
+// complementRow, iterate or driveOutArtificials.
 
 func densePivot(t *tableau, r, q int) {
 	t.pivots++
@@ -51,7 +53,46 @@ func densePivot(t *tableau, r, q int) {
 	t.basis[r] = q
 }
 
-func denseIterate(t *tableau, k int, allowArt bool, maxIter int) Status {
+// denseFlip moves nonbasic column q to its bound, updating every row.
+func denseFlip(t *tableau, q int) {
+	t.flips++
+	u := t.ub[q]
+	for i := 0; i < t.m; i++ {
+		f := t.a[i][q]
+		if f == 0 {
+			continue
+		}
+		t.b[i] -= f * u
+		t.a[i][q] = -f
+		if t.b[i] < 0 && t.b[i] > -1e-11 {
+			t.b[i] = 0
+		}
+	}
+	for k := 0; k < 2; k++ {
+		t.obj[k] += t.d[k][q] * u
+		t.d[k][q] = -t.d[k][q]
+	}
+	t.flip[q] = !t.flip[q]
+}
+
+// denseComplement measures the variable basic in row r from its bound.
+func denseComplement(t *tableau, r int) {
+	bv := t.basis[r]
+	for j := range t.a[r] {
+		t.a[r][j] = -t.a[r][j]
+	}
+	t.a[r][bv] = 1
+	t.b[r] = t.ub[bv] - t.b[r]
+	t.flip[bv] = !t.flip[bv]
+}
+
+// denseIterate runs the simplex with the three-stop ratio test:
+// a basic variable reaching zero, one reaching its bound (complemented,
+// then pivoted out), or the entering column reaching its own bound
+// (flipped, preferred on ties). A column with no stop is a ray unless
+// it is one part of a split variable whose other part is basic.
+// complements counts the second kind of stop.
+func denseIterate(t *tableau, k int, allowArt bool, maxIter int) (st Status, complements int) {
 	const blandAfter = 2000
 	for iter := 0; iter < maxIter; iter++ {
 		enter := -1
@@ -78,27 +119,55 @@ func denseIterate(t *tableau, k int, allowArt bool, maxIter int) Status {
 			}
 		}
 		if enter < 0 {
-			return Optimal
+			return Optimal, complements
 		}
-		leave := -1
+		leave, toBound := -1, false
 		best := math.Inf(1)
 		for i := 0; i < t.m; i++ {
 			aij := t.a[i][enter]
-			if aij <= pivotEps {
+			u := t.ub[t.basis[i]]
+			var ratio float64
+			switch {
+			case aij > pivotEps:
+				ratio = t.b[i] / aij
+			case aij < -pivotEps && !math.IsInf(u, 1):
+				ratio = (u - t.b[i]) / -aij
+			default:
 				continue
 			}
-			ratio := t.b[i] / aij
 			if ratio < best-1e-12 || (ratio < best+1e-12 && (leave < 0 || t.basis[i] < t.basis[leave])) {
-				best = ratio
-				leave = i
+				best, leave, toBound = ratio, i, aij < 0
 			}
 		}
+		if u := t.ub[enter]; !math.IsInf(u, 1) && u < best+1e-12 {
+			denseFlip(t, enter)
+			continue
+		}
 		if leave < 0 {
-			return Unbounded
+			partner := -1
+			for _, p := range t.pairs {
+				switch enter {
+				case p[0]:
+					partner = p[1]
+				case p[1]:
+					partner = p[0]
+				}
+			}
+			if partner >= 0 && slices.Contains(t.basis, partner) {
+				// The two parts of a variable with no bound move together:
+				// not a ray, and a reduced cost that is rounding noise.
+				t.d[0][enter], t.d[1][enter] = 0, 0
+				continue
+			}
+			return Unbounded, complements
+		}
+		if toBound {
+			denseComplement(t, leave)
+			complements++
 		}
 		densePivot(t, leave, enter)
 	}
-	return Optimal
+	return Optimal, complements
 }
 
 // denseDriveOutArtificials returns how many of its pivots were on a
@@ -125,10 +194,11 @@ func denseDriveOutArtificials(t *tableau) (negative int) {
 }
 
 // randomTableau lays out a tableau as solveRelaxation does — structural
-// columns, one slack per row, an artificial for some rows — with sparse
-// structural entries drawn to include negative values, values just
-// around pivotEps and far below it, and degenerate zero right-hand
-// sides. Phase-1 costs are priced out for the artificial basis.
+// columns, some with a finite bound, one slack per row, an artificial
+// for some rows — with sparse structural entries drawn to include
+// negative values, values just around pivotEps and far below it, and
+// degenerate zero right-hand sides. Phase-1 costs are priced out for
+// the artificial basis.
 func randomTableau(rng *rand.Rand) *tableau {
 	m := 3 + rng.Intn(28)
 	nStruct := 2 + rng.Intn(2*m)
@@ -141,7 +211,14 @@ func randomTableau(rng *rand.Rand) *tableau {
 		}
 	}
 	n := nStruct + m + nArt
-	t := &tableau{m: m, n: n, b: make([]float64, m), basis: make([]int, m), artificial: make([]bool, n)}
+	t := &tableau{m: m, n: n, b: make([]float64, m), basis: make([]int, m), artificial: make([]bool, n),
+		ub: make([]float64, n), flip: make([]bool, n)}
+	for j := range t.ub {
+		t.ub[j] = math.Inf(1)
+		if j < nStruct && rng.Intn(2) == 0 {
+			t.ub[j] = float64(1+rng.Intn(4)) / float64(1+rng.Intn(3))
+		}
+	}
 	t.a = make([][]float64, m)
 	t.d[0], t.d[1] = make([]float64, n), make([]float64, n)
 	entry := func() float64 {
@@ -216,6 +293,8 @@ func cloneTableau(t *tableau) *tableau {
 	c.d[0] = append([]float64(nil), t.d[0]...)
 	c.d[1] = append([]float64(nil), t.d[1]...)
 	c.artificial = append([]bool(nil), t.artificial...)
+	c.ub = append([]float64(nil), t.ub...)
+	c.flip = append([]bool(nil), t.flip...)
 	c.cols, c.rows = nil, nil
 	return &c
 }
@@ -223,9 +302,15 @@ func cloneTableau(t *tableau) *tableau {
 // sameTableau reports the first entry where got and want differ.
 func sameTableau(t *testing.T, label string, got, want *tableau) bool {
 	t.Helper()
-	if got.pivots != want.pivots {
-		t.Errorf("%s: %d pivots, dense reference %d", label, got.pivots, want.pivots)
+	if got.pivots != want.pivots || got.flips != want.flips {
+		t.Errorf("%s: %d pivots and %d flips, dense reference %d and %d", label, got.pivots, got.flips, want.pivots, want.flips)
 		return false
+	}
+	for j := range want.flip {
+		if got.flip[j] != want.flip[j] {
+			t.Errorf("%s: flip[%d] = %v, dense reference %v", label, j, got.flip[j], want.flip[j])
+			return false
+		}
 	}
 	for i := range want.a {
 		if got.basis[i] != want.basis[i] {
@@ -258,15 +343,17 @@ func sameTableau(t *testing.T, label string, got, want *tableau) bool {
 	return true
 }
 
-// TestPivotMatchesDense: on random sparse tableaux, the sparse kernel
-// leaves every entry of a, b, d and obj, and the basis, exactly (==)
-// as the dense row operation does — through both phases of iterate,
-// whose ratio test supplies the rows to update, and through
-// driveOutArtificials, which gathers its own and may pivot on a
+// TestPivotMatchesDense: on random sparse tableaux with some bounded
+// columns, the sparse kernel leaves every entry of a, b, d and obj, the
+// basis, and the complemented flags exactly (==) as the dense row
+// operations do — through both phases of iterate, whose ratio test
+// supplies the rows to update and stops at zero, at a basic variable's
+// bound, or at the entering column's own, and through
+// driveOutArtificials, which gathers its own rows and may pivot on a
 // negative entry.
 func TestPivotMatchesDense(t *testing.T) {
 	lim := limits{ctx: context.Background(), maxIter: 400}
-	var pivots, negative int
+	var pivots, flips, complements, negative int
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sparse := randomTableau(rng)
@@ -289,10 +376,11 @@ func TestPivotMatchesDense(t *testing.T) {
 			allowArt bool
 		}{{0, true}, {1, false}} {
 			st, err := sparse.iterate(phase.k, phase.allowArt, lim)
-			stRef := denseIterate(dense, phase.k, phase.allowArt, lim.maxIter)
+			stRef, comp := denseIterate(dense, phase.k, phase.allowArt, lim.maxIter)
+			complements += comp
 			if err != nil {
-				if dense.pivots != lim.maxIter {
-					t.Fatalf("seed %d phase %d: %v after %d pivots, dense reference stopped after %d", seed, phase.k, err, sparse.pivots, dense.pivots)
+				if dense.pivots+dense.flips != lim.maxIter {
+					t.Fatalf("seed %d phase %d: %v after %d iterations, dense reference stopped after %d", seed, phase.k, err, sparse.pivots+sparse.flips, dense.pivots+dense.flips)
 				}
 			} else if st != stRef {
 				t.Fatalf("seed %d phase %d: status %v, dense reference %v", seed, phase.k, st, stRef)
@@ -308,11 +396,13 @@ func TestPivotMatchesDense(t *testing.T) {
 				}
 			}
 			pivots += sparse.pivots
+			flips += sparse.flips
 			sparse.pivots, dense.pivots = 0, 0
+			sparse.flips, dense.flips = 0, 0
 		}
 	}
-	t.Logf("%d pivots, %d driven out on a negative entry", pivots, negative)
-	if pivots < 1000 || negative < 50 {
-		t.Fatalf("only %d pivots, %d on negative entries: the tableaux exercise too little", pivots, negative)
+	t.Logf("%d pivots (%d leaving at a bound), %d flips, %d driven out on a negative entry", pivots, complements, flips, negative)
+	if pivots < 1000 || complements < 50 || flips < 50 || negative < 50 {
+		t.Fatalf("only %d pivots, %d leaving at a bound, %d flips, %d on negative entries: the tableaux exercise too little", pivots, complements, flips, negative)
 	}
 }

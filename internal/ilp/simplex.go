@@ -3,24 +3,34 @@ package ilp
 import (
 	"context"
 	"math"
+	"slices"
 
 	"partita/internal/budget"
 )
 
-// The simplex solver works on a standard-form tableau:
+// The simplex solver works on a bounded-variable standard form:
 //
-//	minimize c·x  subject to  A·x = b,  x ≥ 0,  b ≥ 0
+//	minimize c·v  subject to  A·v = b,  0 ≤ v ≤ u,  b ≥ 0
 //
-// built from the model by shifting each variable to its lower bound,
-// turning finite upper bounds into explicit ≤ rows, and adding slack,
-// surplus, and artificial columns. Phase 1 minimizes the sum of
-// artificials; phase 2 minimizes the real cost. Bland's rule guarantees
-// termination on degenerate instances.
+// Before any tableau is built, a per-node presolve settles what the
+// node's fixings decide on their own: a constraint they leave with one
+// free variable becomes a bound on it, one they leave with none is
+// checked and dropped, and a variable whose bounds meet is settled like
+// a fixed one. Only rows coupling two or more free variables reach the
+// tableau. Each free variable is a column v measured up from its lower
+// bound, with upper bound u = hi − lo; without a lower bound it is
+// measured down from its upper bound, and with neither it is the
+// difference of two columns. Slack, surplus, and artificial columns
+// complete the rows. Phase 1 minimizes the sum of artificials; phase 2
+// minimizes the real cost. The ratio test stops the entering column
+// where a basic variable reaches zero or its upper bound, or where the
+// column reaches its own bound, which flips it there without a pivot.
+// Bland's rule guarantees termination on degenerate instances.
 
 const (
 	pivotEps   = 1e-9 // smallest acceptable pivot magnitude (after row scaling)
 	costEps    = 1e-9 // reduced-cost optimality tolerance
-	feasEps    = 1e-7 // phase-1 residual treated as feasible
+	feasEps    = 1e-7 // phase-1 residual, or presolve's row excess or bound overlap, treated as feasible
 	intEps     = 1e-6 // integrality tolerance for branch and bound
 	maxSimplex = 200000
 )
@@ -36,9 +46,17 @@ type tableau struct {
 	// artificial[j] marks artificial columns, which may never re-enter
 	// the basis in phase 2.
 	artificial []bool
-	// pivots counts pivot applications since the last reset; solvers
-	// fold it into SearchStats.
-	pivots int
+	// ub[j] is column j's upper bound (+Inf for slack, surplus, and
+	// artificial columns). flip[j] marks a complemented column: it
+	// stands for ub[j] − v_j, the distance of v_j below its bound.
+	ub   []float64
+	flip []bool
+	// pairs lists the two columns of each variable with no bound, its
+	// positive and its negative part.
+	pairs [][2]int
+	// pivots and flips count pivots and bound flips since the last
+	// reset; solvers fold them into SearchStats.
+	pivots, flips int
 	// mat backs the rows of a and then the two cost rows.
 	mat []float64
 	// Scratch of one pivot: the pivot row's nonzero columns, and the
@@ -52,14 +70,15 @@ type lpResult struct {
 	obj    float64   // objective in the model's own sense
 	x      []float64 // one value per model variable (fixed vars included)
 	pivots int       // simplex pivots spent on this solve
+	flips  int       // bound flips spent on this solve
 	// err is non-nil when the solve was interrupted by a resource budget
-	// (pivot limit or context deadline); status is then meaningless.
+	// (iteration limit or context deadline); status is then meaningless.
 	err error
 }
 
 // stats counts the relaxation as one cold LP.
 func (r lpResult) stats() SearchStats {
-	return SearchStats{ColdLPs: 1, PrimalPivots: int64(r.pivots)}
+	return SearchStats{ColdLPs: 1, PrimalPivots: int64(r.pivots), BoundFlips: int64(r.flips)}
 }
 
 // solution is r as the answer of a one-node solve. An infeasible or
@@ -77,8 +96,9 @@ func (r lpResult) solution() *Solution {
 }
 
 // limits bounds one relaxation solve: ctx carries the wall-clock budget
-// (checked periodically inside the pivot loop), maxIter the pivot count
-// (0 = the package safety cap).
+// (checked periodically inside the simplex loop), maxIter the iteration
+// count of each phase, pivots and bound flips alike (0 = the package
+// safety cap).
 type limits struct {
 	ctx     context.Context
 	maxIter int
@@ -100,8 +120,19 @@ func (l limits) iterCap() int {
 // solves: a pool keeps the largest tableaux alive between solves and
 // raises the resident set.
 type arena struct {
-	free  []int // model index of each structural column
-	colOf []int // structural column of each model variable, -1 if fixed
+	// lo and hi are each model variable's bounds at this node after
+	// presolve. settled marks the variables the node fixes or whose
+	// bounds collapsed; their value is lo.
+	lo, hi  []float64
+	settled []bool
+	live    []int // constraints coupling two or more free variables
+	free    []int // model index of each structural column
+	// neg marks the structural columns that count their variable
+	// downward: from its upper bound, or as the negative part of a
+	// variable with no bound at all.
+	neg   []bool
+	colOf []int     // first structural column of each model variable, -1 if settled
+	val   []float64 // scratch: each structural column's value
 	tab   tableau
 }
 
@@ -116,35 +147,95 @@ func take[T any](buf []T, n int) []T {
 	return buf
 }
 
-// shift is the value v's structural column is measured from: its lower
-// bound. The selection problems never use variables unbounded below; a
-// -Inf lower bound becomes a large negative shift instead of a split
-// column.
-func (v variable) shift() float64 {
-	if math.IsInf(v.lo, -1) {
-		return -1e12
+// negated is the relation of a row after both sides are negated.
+func (r Rel) negated() Rel {
+	switch r {
+	case LE:
+		return GE
+	case GE:
+		return LE
 	}
-	return v.lo
+	return r
 }
 
-// relOf is the relation of tableau row i, whose shifted right-hand side
-// is rhs: the model's own for constraint rows, ≤ for the upper-bound
-// rows after them, with LE and GE swapped when a negative rhs negates
-// the row.
-func (m *Model) relOf(i int, rhs float64) Rel {
-	rel := LE
-	if i < len(m.cons) {
-		rel = m.cons[i].rel
-	}
-	if rhs < 0 {
-		switch rel {
-		case LE:
-			rel = GE
-		case GE:
-			rel = LE
+// presolve loads each model variable's bounds at this node into ar —
+// the fixed value for the variables fx fixes — and tightens them with
+// every constraint the fixings leave with one free variable. It drops
+// such a constraint, and one left with no free variable after checking
+// it against feasEps, so ar.live keeps only the constraints that couple
+// two or more. A variable whose bounds collapse is settled at one value
+// like a fixed one, which may leave more constraints with one free
+// variable, so the scan repeats until no bounds collapse. It reports
+// false when the node is infeasible.
+func (m *Model) presolve(fx *fixSet, ar *arena) bool {
+	n := len(m.vars)
+	lo, hi, settled := take(ar.lo, n), take(ar.hi, n), take(ar.settled, n)
+	ar.lo, ar.hi, ar.settled = lo, hi, settled
+	for j, v := range m.vars {
+		if fv, ok := fx.get(VarID(j)); ok {
+			lo[j], hi[j], settled[j] = fv, fv, true
+		} else {
+			lo[j], hi[j], settled[j] = v.lo, v.hi, v.lo == v.hi
 		}
 	}
-	return rel
+	live := take(ar.live, len(m.cons))
+	for i := range live {
+		live[i] = i
+	}
+	for collapsed := true; collapsed; {
+		collapsed = false
+		kept := live[:0]
+		for _, i := range live {
+			c := &m.cons[i]
+			// r is the right-hand side net of the settled variables;
+			// one is the free variable and coef its net coefficient,
+			// unless one reads -2: the row couples two free variables.
+			r, one, coef := c.rhs, -1, 0.0
+			for _, tm := range c.terms {
+				j := int(tm.Var)
+				if settled[j] {
+					r -= tm.Coef * lo[j]
+				} else if one < 0 || one == j {
+					one, coef = j, coef+tm.Coef
+				} else {
+					one = -2
+					break
+				}
+			}
+			if one == -2 {
+				kept = append(kept, i)
+				continue
+			}
+			rel := c.rel
+			if coef == 0 {
+				if (rel != GE && r < -feasEps) || (rel != LE && r > feasEps) {
+					return false
+				}
+				continue
+			}
+			if coef < 0 {
+				rel = rel.negated()
+			}
+			bound := r / coef
+			if rel != GE && bound < hi[one] {
+				hi[one] = bound
+			}
+			if rel != LE && bound > lo[one] {
+				lo[one] = bound
+			}
+			if lo[one] > hi[one]+feasEps || math.IsInf(lo[one], 1) || math.IsInf(hi[one], -1) {
+				return false
+			}
+			if lo[one] >= hi[one] {
+				lo[one] = hi[one]
+				settled[one] = true
+				collapsed = true
+			}
+		}
+		live = kept
+	}
+	ar.live = live
+	return true
 }
 
 // solveRelaxation solves the LP relaxation of m with the variables in fx
@@ -155,53 +246,58 @@ func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
 	if ar == nil {
 		ar = &arena{}
 	}
+	if !m.presolve(fx, ar) {
+		return lpResult{status: Infeasible}
+	}
 	n := len(m.vars)
-	// Structural columns are the free variables, shifted to their lower
-	// bounds; each one with a finite upper bound adds a ≤ row after the
-	// constraint rows.
+	lo, hi := ar.lo, ar.hi
+	// Structural columns are the free variables. From here on lo[j] is
+	// the value variable j takes with its columns at zero: its lower
+	// bound, its upper bound if it has no lower one, or 0 if it has
+	// neither, when a second, negated column carries its negative part.
 	free := take(ar.free, n)[:0]
+	neg := ar.neg[:0]
 	colOf := take(ar.colOf, n)
-	nRows := len(m.cons)
-	for j, v := range m.vars {
+	for j := range m.vars {
 		colOf[j] = -1
-		if fx.fixed(VarID(j)) {
+		if ar.settled[j] {
 			continue
 		}
 		colOf[j] = len(free)
 		free = append(free, j)
-		if !math.IsInf(v.hi, 1) {
-			nRows++
-		}
-	}
-	ar.free, ar.colOf = free, colOf
-	nStruct := len(free)
-
-	// Shifted right-hand sides come first: their signs settle each row's
-	// relation, and with it the slack and artificial column counts that
-	// size the tableau.
-	t := &ar.tab
-	t.b = take(t.b, nRows)
-	for i, c := range m.cons {
-		rhs := c.rhs
-		for _, tm := range c.terms {
-			if fv, ok := fx.get(tm.Var); ok {
-				rhs -= tm.Coef * fv
+		neg = append(neg, false)
+		if math.IsInf(lo[j], -1) {
+			if math.IsInf(hi[j], 1) {
+				lo[j] = 0
+				free = append(free, j)
+				neg = append(neg, true)
 			} else {
-				rhs -= tm.Coef * m.vars[tm.Var].shift()
+				lo[j] = hi[j]
+				neg[len(neg)-1] = true
 			}
 		}
-		t.b[i] = rhs
 	}
-	i := len(m.cons)
-	for _, j := range free {
-		if v := m.vars[j]; !math.IsInf(v.hi, 1) {
-			t.b[i] = v.hi - v.shift()
-			i++
-		}
-	}
+	ar.free, ar.neg, ar.colOf = free, neg, colOf
+	nStruct := len(free)
+
+	// Right-hand sides net of every variable's base value come first:
+	// their signs settle each row's relation, and with it the slack and
+	// artificial column counts that size the tableau.
+	t := &ar.tab
+	nRows := len(ar.live)
+	t.b = take(t.b, nRows)
 	nSlack, nArt := 0, 0
-	for i, rhs := range t.b {
-		rel := m.relOf(i, rhs)
+	for k, i := range ar.live {
+		c := &m.cons[i]
+		rhs := c.rhs
+		for _, tm := range c.terms {
+			rhs -= tm.Coef * lo[tm.Var]
+		}
+		t.b[k] = rhs
+		rel := c.rel
+		if rhs < 0 {
+			rel = rel.negated()
+		}
 		if rel != EQ {
 			nSlack++
 		}
@@ -214,54 +310,19 @@ func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
 	// inequality, then one artificial per GE/EQ row.
 	nTot := nStruct + nSlack + nArt
 	t.reset(nRows, nTot)
+	for col, j := range free {
+		if !neg[col] {
+			t.ub[col] = hi[j] - lo[j]
+		}
+	}
 
 	slackAt := nStruct
 	artAt := nStruct + nSlack
-	// finish completes row i once its structural coefficients are
-	// written; mx is the largest of their magnitudes.
-	finish := func(i int, mx float64) {
-		row := t.a[i]
-		rel := m.relOf(i, t.b[i])
-		coef := row[:nStruct]
-		if t.b[i] < 0 {
-			for k := range coef {
-				coef[k] = -coef[k]
-			}
-			t.b[i] = -t.b[i]
-		}
-		// Row equilibration: scale each row so its largest magnitude is 1.
-		if t.b[i] > mx {
-			mx = t.b[i]
-		}
-		if mx > 1 {
-			inv := 1 / mx
-			for k := range coef {
-				coef[k] *= inv
-			}
-			t.b[i] *= inv
-		}
-		switch rel {
-		case LE:
-			row[slackAt] = 1
-			t.basis[i] = slackAt
-			slackAt++
-		case GE:
-			row[slackAt] = -1
-			slackAt++
-			row[artAt] = 1
-			t.artificial[artAt] = true
-			t.basis[i] = artAt
-			artAt++
-		case EQ:
-			row[artAt] = 1
-			t.artificial[artAt] = true
-			t.basis[i] = artAt
-			artAt++
-		}
-	}
-	// Write each row's structural coefficients straight into the tableau.
-	for i, c := range m.cons {
-		row := t.a[i]
+	// Write each row's structural coefficients straight into the
+	// tableau, each variable's into its first column.
+	for k, i := range ar.live {
+		c := &m.cons[i]
+		row := t.a[k]
 		for _, tm := range c.terms {
 			if col := colOf[tm.Var]; col >= 0 {
 				row[col] += tm.Coef
@@ -275,14 +336,43 @@ func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
 				}
 			}
 		}
-		finish(i, mx)
-	}
-	i = len(m.cons)
-	for col, j := range free {
-		if !math.IsInf(m.vars[j].hi, 1) {
-			t.a[i][col] = 1
-			finish(i, 1)
-			i++
+		rel := c.rel
+		coef := row[:nStruct]
+		if t.b[k] < 0 {
+			rel = rel.negated()
+			for q := range coef {
+				coef[q] = -coef[q]
+			}
+			t.b[k] = -t.b[k]
+		}
+		// Row equilibration: scale each row so its largest magnitude is 1.
+		if t.b[k] > mx {
+			mx = t.b[k]
+		}
+		if mx > 1 {
+			inv := 1 / mx
+			for q := range coef {
+				coef[q] *= inv
+			}
+			t.b[k] *= inv
+		}
+		switch rel {
+		case LE:
+			row[slackAt] = 1
+			t.basis[k] = slackAt
+			slackAt++
+		case GE:
+			row[slackAt] = -1
+			slackAt++
+			row[artAt] = 1
+			t.artificial[artAt] = true
+			t.basis[k] = artAt
+			artAt++
+		case EQ:
+			row[artAt] = 1
+			t.artificial[artAt] = true
+			t.basis[k] = artAt
+			artAt++
 		}
 	}
 
@@ -293,14 +383,27 @@ func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
 	}
 	constObj := 0.0
 	for j, v := range m.vars {
-		if fv, ok := fx.get(VarID(j)); ok {
-			constObj += sgn * v.obj * fv
-		} else {
-			constObj += sgn * v.obj * v.shift()
-		}
+		constObj += sgn * v.obj * lo[j]
 	}
 	for col, j := range free {
 		t.d[1][col] = sgn * m.vars[j].obj
+	}
+	// A downward column is the negation of what was written to its
+	// variable's first column: that column itself, or the one before it
+	// when the variable has two.
+	for col, down := range neg {
+		if !down {
+			continue
+		}
+		src := col
+		if col > 0 && free[col-1] == free[col] {
+			src = col - 1
+			t.pairs = append(t.pairs, [2]int{src, col})
+		}
+		for _, row := range t.a {
+			row[col] = -row[src]
+		}
+		t.d[1][col] = -t.d[1][src]
 	}
 	// Price out phase-1 costs for the artificial basis.
 	for i := range t.a {
@@ -322,48 +425,55 @@ func (m *Model) solveRelaxation(fx *fixSet, lim limits, ar *arena) lpResult {
 	// Phase 1.
 	st, err := t.iterate(0, true, lim)
 	if err != nil {
-		return lpResult{err: err, pivots: t.pivots}
+		return lpResult{err: err, pivots: t.pivots, flips: t.flips}
 	}
 	if st == Unbounded {
 		// A phase-1 objective bounded below by zero can never be
 		// unbounded; treat as numerical failure → infeasible.
-		return lpResult{status: Infeasible, pivots: t.pivots}
+		return lpResult{status: Infeasible, pivots: t.pivots, flips: t.flips}
 	}
 	if t.obj[0] > feasEps {
-		return lpResult{status: Infeasible, pivots: t.pivots}
+		return lpResult{status: Infeasible, pivots: t.pivots, flips: t.flips}
 	}
 	t.driveOutArtificials()
 
 	// Phase 2.
 	st, err = t.iterate(1, false, lim)
 	if err != nil {
-		return lpResult{err: err, pivots: t.pivots}
+		return lpResult{err: err, pivots: t.pivots, flips: t.flips}
 	}
 	if st == Unbounded {
-		return lpResult{status: Unbounded, pivots: t.pivots}
+		return lpResult{status: Unbounded, pivots: t.pivots, flips: t.flips}
 	}
 
-	// Extract structural values and unshift. The result vector outlives
-	// the arena's solve cycle (callers keep it for incumbents), so it is
-	// allocated fresh rather than from the arena.
-	x := make([]float64, n)
-	for j, v := range m.vars {
-		if fv, ok := fx.get(VarID(j)); ok {
-			x[j] = fv
-		} else {
-			x[j] = v.shift()
-		}
-	}
+	// Extract each structural column's value, complemented ones from
+	// their bound, and add it to its variable's base value. The result
+	// vector outlives the arena's solve cycle (callers keep it for
+	// incumbents), so it is allocated fresh rather than from the arena.
+	val := take(ar.val, nStruct)
+	ar.val = val
 	for i, bi := range t.basis {
 		if bi < nStruct {
-			x[free[bi]] += t.b[i]
+			val[bi] = t.b[i]
 		}
+	}
+	x := make([]float64, n)
+	copy(x, lo)
+	for col, j := range free {
+		v := val[col]
+		if t.flip[col] {
+			v = t.ub[col] - v
+		}
+		if neg[col] {
+			v = -v
+		}
+		x[j] += v
 	}
 	obj := t.obj[1] + constObj
 	if m.sense == Maximize {
 		obj = -obj
 	}
-	return lpResult{status: Optimal, obj: obj, x: x, pivots: t.pivots}
+	return lpResult{status: Optimal, obj: obj, x: x, pivots: t.pivots, flips: t.flips}
 }
 
 // reset sizes t to m rows and n columns, all zero, keeping b (already
@@ -380,23 +490,30 @@ func (t *tableau) reset(m, n int) {
 	t.obj = [2]float64{}
 	t.basis = take(t.basis, m)
 	t.artificial = take(t.artificial, n)
+	t.ub = take(t.ub, n)
+	for j := range t.ub {
+		t.ub[j] = math.Inf(1)
+	}
+	t.flip = take(t.flip, n)
+	t.pairs = t.pairs[:0]
 	t.cols = take(t.cols, n)[:0]
 	t.rows = take(t.rows, m)[:0]
-	t.pivots = 0
+	t.pivots, t.flips = 0, 0
 }
 
-// iterate runs simplex pivots on cost row k until optimal or unbounded.
-// When allowArt is false, artificial columns may not enter the basis.
-// Pivoting uses Dantzig's rule (most negative reduced cost) for speed,
-// falling back to Bland's rule after a burn-in to guarantee termination
-// on degenerate instances. The limits bound the pivot count and carry
-// the wall-clock budget; exhausting either aborts with a typed error.
+// iterate runs simplex iterations on cost row k until optimal or
+// unbounded. When allowArt is false, artificial columns may not enter
+// the basis. Pricing uses Dantzig's rule (most negative reduced cost)
+// for speed, falling back to Bland's rule after a burn-in to guarantee
+// termination on degenerate instances. An iteration is a pivot or a
+// bound flip. The limits bound the iteration count and carry the
+// wall-clock budget; exhausting either aborts with a typed error.
 func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 	const blandAfter = 2000
 	maxIter := lim.iterCap()
 	for iter := 0; iter < maxIter; iter++ {
 		if iter&0xff == 0xff {
-			// Deadline check every 256 pivots: cheap relative to the
+			// Deadline check every 256 iterations: cheap relative to the
 			// pricing and ratio scans of a pivot, frequent enough that
 			// even a single huge LP cannot overrun a deadline by much.
 			if err := budget.Check(lim.ctx); err != nil {
@@ -429,10 +546,12 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 		if enter < 0 {
 			return Optimal, nil
 		}
-		// Ratio test, Bland tiebreak on lowest basis index. The scan
-		// down the entering column also collects the rows the pivot
-		// must update: those with a nonzero entry there.
-		leave := -1
+		// Ratio test, Bland tiebreak on lowest basis index: the step
+		// stops where a basic variable falls to zero or, with a finite
+		// bound, rises to it. The scan down the entering column also
+		// collects the rows a pivot or flip must update: those with a
+		// nonzero entry there.
+		leave, toBound := -1, false
 		best := math.Inf(1)
 		rows := t.rows[:0]
 		for i := 0; i < t.m; i++ {
@@ -441,25 +560,97 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 				continue
 			}
 			rows = append(rows, i)
-			if aij <= pivotEps {
+			var ratio float64
+			if aij > pivotEps {
+				ratio = t.b[i] / aij
+			} else if u := t.ub[t.basis[i]]; aij < -pivotEps && u < math.Inf(1) {
+				ratio = (u - t.b[i]) / -aij
+			} else {
 				continue
 			}
-			ratio := t.b[i] / aij
 			if ratio < best-1e-12 || (ratio < best+1e-12 && (leave < 0 || t.basis[i] < t.basis[leave])) {
 				best = ratio
 				leave = i
+				toBound = aij < 0
 			}
 		}
 		t.rows = rows
+		if u := t.ub[enter]; u < math.Inf(1) && u < best+1e-12 {
+			// The entering column reaches its own bound first, or ties:
+			// flip it there, no pivot needed.
+			t.flipColumn(enter, rows)
+			continue
+		}
 		if leave < 0 {
+			if t.basicPartner(enter) {
+				// Not a ray: both parts grow and the variable stays put.
+				// The exact reduced cost is zero; what priced the column
+				// in was rounding.
+				t.d[0][enter], t.d[1][enter] = 0, 0
+				continue
+			}
 			return Unbounded, nil
+		}
+		if toBound {
+			t.complementRow(leave)
 		}
 		t.pivot(leave, enter, rows)
 	}
-	// Pivot cap exceeded. Surface it as a budget error rather than
+	// Iteration cap exceeded. Surface it as a budget error rather than
 	// silently returning a non-optimal basis; branch and bound converts
 	// this into an anytime (Feasible) result.
 	return Optimal, budget.ErrIterLimit
+}
+
+// basicPartner reports whether column q is one part of a variable with
+// no bound whose other part is basic.
+func (t *tableau) basicPartner(q int) bool {
+	for _, p := range t.pairs {
+		if q == p[0] || q == p[1] {
+			return slices.Contains(t.basis, p[0]+p[1]-q)
+		}
+	}
+	return false
+}
+
+// flipColumn moves nonbasic column q to its bound: it complements the
+// column, v_q → ub[q] − v_q, which negates its entries and reduced
+// costs and moves each right-hand side and objective by ub[q] times
+// the column. rows must list every row with a nonzero entry in column q.
+func (t *tableau) flipColumn(q int, rows []int) {
+	t.flips++
+	u := t.ub[q]
+	for _, i := range rows {
+		ai := t.a[i]
+		t.b[i] -= ai[q] * u
+		ai[q] = -ai[q]
+		if t.b[i] < 0 && t.b[i] > -1e-11 {
+			t.b[i] = 0
+		}
+	}
+	for k := range t.d {
+		t.obj[k] += t.d[k][q] * u
+		t.d[k][q] = -t.d[k][q]
+	}
+	t.flip[q] = !t.flip[q]
+}
+
+// complementRow complements the variable basic in row r, which is
+// about to leave at its bound: the row is negated, keeping the basic
+// column's unit entry, and its right-hand side becomes the variable's
+// distance below the bound. The variable leaves at zero in its new
+// sense, so pivot can then proceed as usual.
+func (t *tableau) complementRow(r int) {
+	row := t.a[r]
+	for j, v := range row {
+		if v != 0 {
+			row[j] = -v
+		}
+	}
+	bv := t.basis[r]
+	row[bv] = 1
+	t.b[r] = t.ub[bv] - t.b[r]
+	t.flip[bv] = !t.flip[bv]
 }
 
 // pivot brings column q into the basis at row r. rows must list every

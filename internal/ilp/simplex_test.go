@@ -106,19 +106,28 @@ func TestLPUnbounded(t *testing.T) {
 // with one unused binary (so branch and bound runs), and SolveLPRound
 // report the same Status and Bound, in both senses: +Inf for an
 // infeasible relaxation, -Inf for an unbounded one, the optimum
-// otherwise. Each of them solves exactly one LP and counts it.
+// otherwise. Each of them solves exactly one LP and counts it. The
+// one-variable infeasible case is settled by presolve, with no simplex
+// iteration; every case whose rows couple two variables counts its
+// simplex work, pivots and bound flips together.
 func TestLPEntryPointsAgree(t *testing.T) {
 	type build func(m *Model)
 	cases := []struct {
-		name   string
-		build  build
-		status Status
-		bound  map[Sense]float64
+		name    string
+		build   build
+		status  Status
+		bound   map[Sense]float64
+		coupled bool
 	}{
 		{"infeasible", func(m *Model) {
 			x := m.AddVar("x", 0, 1, 1)
 			m.AddConstraint("big", []Term{{x, 1}}, GE, 5)
-		}, Infeasible, map[Sense]float64{Minimize: math.Inf(1), Maximize: math.Inf(1)}},
+		}, Infeasible, map[Sense]float64{Minimize: math.Inf(1), Maximize: math.Inf(1)}, false},
+		{"infeasible coupled", func(m *Model) {
+			x := m.AddVar("x", 0, 1, 1)
+			y := m.AddVar("y", 0, 1, 1)
+			m.AddConstraint("big", []Term{{x, 1}, {y, 1}}, GE, 5)
+		}, Infeasible, map[Sense]float64{Minimize: math.Inf(1), Maximize: math.Inf(1)}, true},
 		{"unbounded", func(m *Model) {
 			// x − y ≤ 1 with y free above: x + y grows without limit for
 			// Maximize, and −x − y for Minimize.
@@ -129,13 +138,13 @@ func TestLPEntryPointsAgree(t *testing.T) {
 			x := m.AddVar("x", 0, math.Inf(1), sgn)
 			y := m.AddVar("y", 0, math.Inf(1), sgn)
 			m.AddConstraint("diff", []Term{{x, 1}, {y, -1}}, LE, 1)
-		}, Unbounded, map[Sense]float64{Minimize: math.Inf(-1), Maximize: math.Inf(-1)}},
+		}, Unbounded, map[Sense]float64{Minimize: math.Inf(-1), Maximize: math.Inf(-1)}, true},
 		{"optimal", func(m *Model) {
 			// x ≤ 4, y ≤ 3, x + y ≥ 2: minimum of x + 2y is 2, maximum 10.
 			x := m.AddVar("x", 0, 4, 1)
 			y := m.AddVar("y", 0, 3, 2)
 			m.AddConstraint("cover", []Term{{x, 1}, {y, 1}}, GE, 2)
-		}, Optimal, map[Sense]float64{Minimize: 2, Maximize: 10}},
+		}, Optimal, map[Sense]float64{Minimize: 2, Maximize: 10}, true},
 	}
 	for _, c := range cases {
 		for _, sense := range []Sense{Minimize, Maximize} {
@@ -168,11 +177,46 @@ func TestLPEntryPointsAgree(t *testing.T) {
 				if c.status == Optimal && s.Objective != want {
 					t.Errorf("%s/%s: objective %v, want %v", label, sv.name, s.Objective, want)
 				}
-				if s.Nodes != 1 || s.Stats.ColdLPs != 1 || s.Stats.PrimalPivots == 0 {
-					t.Errorf("%s/%s: %d nodes, stats %+v, want one node and one cold LP with its pivots", label, sv.name, s.Nodes, s.Stats)
+				if s.Nodes != 1 || s.Stats.ColdLPs != 1 {
+					t.Errorf("%s/%s: %d nodes, stats %+v, want one node and one cold LP", label, sv.name, s.Nodes, s.Stats)
+				}
+				if c.coupled && s.Stats.PrimalPivots+s.Stats.BoundFlips == 0 {
+					t.Errorf("%s/%s: stats %+v, want the LP's pivots and bound flips counted", label, sv.name, s.Stats)
 				}
 			}
 		}
+	}
+}
+
+// TestLPFreeVariablesAreNoRay: a variable with no bound is the
+// difference of two columns, and once one is basic the other's reduced
+// cost is an exact zero that rounding against costs of 10⁶ can make
+// look negative. Entering it moves both parts and leaves the variable
+// where it is, which is no ray: here the three free variables are tied
+// to x0 ∈ [0.25, 1] by equalities, so the maximum is finite.
+func TestLPFreeVariablesAreNoRay(t *testing.T) {
+	inf := math.Inf(1)
+	m := NewModel(Maximize)
+	x0 := m.AddVar("x0", 0, 1, -4)
+	x1 := m.AddVar("x1", -inf, inf, 63)
+	x2 := m.AddVar("x2", -inf, inf, -1)
+	x3 := m.AddVar("x3", -inf, inf, -630435)
+	m.AddConstraint("c0", []Term{{x0, -47}, {x0, 8}, {x0, 378261}}, GE, 94553.5)
+	m.AddConstraint("c1", []Term{{x3, 2}, {x1, 4}, {x3, -3}, {x3, 2}}, EQ, -11)
+	m.AddConstraint("c3", []Term{{x0, 5}, {x3, 5}, {x0, 2}, {x2, 1}}, EQ, -13.25)
+	m.AddConstraint("c4", []Term{{x1, -2}, {x0, -2}, {x1, -3}, {x3, -1}}, EQ, 12.5)
+	s, err := m.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// x1 = −1.5 − 2·x0, x2 = 11.75 − 47·x0 and x3 = −5 + 8·x0 leave
+	// the objective 3 152 068.75 − 5 043 563·x0, largest at the least x0.
+	want := 3152068.75 - 5043563*(94553.5/378222)
+	if s.Status != Optimal || math.Abs(s.Objective-want) > 1e-6*want {
+		t.Fatalf("status=%v obj=%.10g, want optimal %.10g", s.Status, s.Objective, want)
+	}
+	if err := m.Check(s, 1e-6); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -15,12 +15,16 @@ type SearchStats struct {
 	WarmLPs int64
 	// PrimalPivots counts simplex pivots.
 	PrimalPivots int64
+	// BoundFlips counts simplex iterations that moved the entering
+	// variable to its own bound instead of pivoting.
+	BoundFlips int64
 }
 
 // Add folds o into s.
 func (s *SearchStats) Add(o SearchStats) {
 	s.ColdLPs += o.ColdLPs
 	s.PrimalPivots += o.PrimalPivots
+	s.BoundFlips += o.BoundFlips
 }
 
 // Pivots is the total simplex pivot count.

@@ -314,7 +314,7 @@ func (a *Analysis) SolveSeeded(ctx context.Context, p Problem, seed *Selection) 
 // the engine has no answer and the error wraps ilp.ErrNoRounding — but
 // the returned bound is still the proven LP bound, so the caller can
 // judge other engines' candidates against it. Every returned selection
-// carries the one cold LP and its pivots in Search.
+// carries the one cold LP with its pivots and bound flips in Search.
 func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Selection, float64, error) {
 	if p.DB == nil {
 		p.DB = a.db

@@ -174,11 +174,15 @@ func TestPerPathRequirements(t *testing.T) {
 	}
 }
 
+// TestSolveAgainstBruteForce: on random small instances, half of them
+// with Problem-2 conflict pairs, the selection matches exhaustive
+// enumeration lexicographically. Its area is the minimum area (pass 1),
+// and its total gain is the least among the minimum-area selections:
+// the answer of pass 2, the surplus tie-break.
 func TestSolveAgainstBruteForce(t *testing.T) {
-	// Randomized small instances: the ILP's minimum area must match
-	// exhaustive enumeration.
 	rng := newRng(7)
-	for trial := 0; trial < 60; trial++ {
+	conflicted, tied := 0, 0
+	for trial := 0; trial < 120; trial++ {
 		nSC := 2 + rng.n(4)
 		nIP := 2 + rng.n(3)
 		ips := make([]*ip.IP, nIP)
@@ -193,43 +197,72 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 		for sc := 1; sc <= nSC; sc++ {
 			k := 1 + rng.n(3)
 			for j := 0; j < k; j++ {
-				sims = append(sims, imp.SynthIMP{
+				sim := imp.SynthIMP{
 					SC:        sc,
 					IP:        ips[rng.n(nIP)],
 					Type:      iface.Type(rng.n(4)),
 					Gain:      int64(10 + rng.n(200)),
 					IfaceArea: float64(rng.n(4)),
-				})
+				}
+				// A parallel-code method runs another s-call's software
+				// body, so it excludes every method of that s-call.
+				if trial%2 == 1 && rng.n(3) == 0 {
+					if other := 1 + rng.n(nSC); other != sc {
+						sim.UsesPC, sim.PCOf = true, []int{other}
+					}
+				}
+				sims = append(sims, sim)
 			}
 		}
 		db, err := imp.NewSyntheticDB(funcs, sims)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(db.Conflicts) > 0 {
+			conflicted++
+		}
 		req := int64(50 + rng.n(300))
 		got, err := Solve(Problem{DB: db, Required: req})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantArea, feasible := bruteForceArea(db, req)
+		want, feasible := bruteForce(db, req)
 		if !feasible {
 			if got.Status != ilp.Infeasible {
 				t.Fatalf("trial %d: solver %v, brute force infeasible", trial, got.Status)
 			}
 			continue
 		}
+		if want.ties > 1 {
+			tied++
+		}
 		if got.Status != ilp.Optimal {
-			t.Fatalf("trial %d: solver %v, brute force found area %g", trial, got.Status, wantArea)
+			t.Fatalf("trial %d: solver %v, brute force found area %g", trial, got.Status, want.area)
 		}
-		if math.Abs(got.Area-wantArea) > 1e-6 {
-			t.Fatalf("trial %d: solver area %g, brute force %g", trial, got.Area, wantArea)
+		if math.Abs(got.Area-want.area) > 1e-6 || got.Gain != want.gain {
+			t.Fatalf("trial %d: solver area %g gain %d, brute force area %g gain %d", trial, got.Area, got.Gain, want.area, want.gain)
 		}
+	}
+	t.Logf("%d instances with conflict pairs, %d with tied minimum areas", conflicted, tied)
+	if conflicted < 20 || tied < 20 {
+		t.Fatalf("only %d instances with conflict pairs and %d with tied minimum areas: the trials exercise too little", conflicted, tied)
 	}
 }
 
-// bruteForceArea enumerates all method assignments (including "none" per
-// s-call) and returns the minimum merged area meeting the requirement.
-func bruteForceArea(db *imp.DB, required int64) (float64, bool) {
+// bruteAnswer is the lexicographic optimum of an exhaustive
+// enumeration: the minimum area, the least total gain among the
+// selections with that area, and how many such selections there are.
+type bruteAnswer struct {
+	area float64
+	gain int64
+	ties int
+}
+
+// bruteForce enumerates all method assignments (including "none" per
+// s-call) that avoid every conflict pair and meet the requirement, and
+// returns their lexicographic optimum: merged area first, then total
+// gain.
+func bruteForce(db *imp.DB, required int64) (bruteAnswer, bool) {
 	perSC := make([][]int, len(db.SCalls))
 	for i, m := range db.IMPs {
 		for s, sc := range db.SCalls {
@@ -238,11 +271,20 @@ func bruteForceArea(db *imp.DB, required int64) (float64, bool) {
 			}
 		}
 	}
-	best := math.Inf(1)
+	best := bruteAnswer{area: math.Inf(1)}
 	feasible := false
 	var rec func(s int, picked []int)
 	rec = func(s int, picked []int) {
 		if s == len(perSC) {
+			chosen := map[int]bool{}
+			for _, i := range picked {
+				chosen[i] = true
+			}
+			for _, c := range db.Conflicts {
+				if chosen[c[0]] && chosen[c[1]] {
+					return
+				}
+			}
 			var gain int64
 			ips := map[string]bool{}
 			grpMax := map[string]float64{}
@@ -262,10 +304,17 @@ func bruteForceArea(db *imp.DB, required int64) (float64, bool) {
 			for _, a := range grpMax {
 				area += a
 			}
-			if gain >= required {
-				feasible = true
-				if area < best {
-					best = area
+			if gain < required {
+				return
+			}
+			feasible = true
+			switch {
+			case area < best.area-1e-9:
+				best = bruteAnswer{area: area, gain: gain, ties: 1}
+			case area <= best.area+1e-9:
+				best.ties++
+				if gain < best.gain {
+					best.gain = gain
 				}
 			}
 			return
