@@ -90,7 +90,7 @@ func referenceLP(m *Model) (Status, float64, []float64, error) {
 	mRows := len(rows)
 	n := nStruct + mRows + nArt
 	t := &tableau{m: mRows, n: n, a: make([][]float64, mRows), b: make([]float64, mRows),
-		basis: make([]int, mRows), artificial: make([]bool, n), ub: make([]float64, n), flip: make([]bool, n), pairs: pairs}
+		basis: make([]int, mRows), art: nStruct + mRows, ub: make([]float64, n), flip: make([]bool, n), pairs: pairs}
 	t.d[0], t.d[1] = make([]float64, n), make([]float64, n)
 	for j := range t.ub {
 		t.ub[j] = math.Inf(1)
@@ -120,7 +120,6 @@ func referenceLP(m *Model) (Status, float64, []float64, error) {
 		}
 		if r.rel != LE {
 			a[art] = 1
-			t.artificial[art] = true
 			t.basis[i] = art
 			for k := range a {
 				t.d[0][k] -= a[k]
