@@ -317,14 +317,17 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget) (*Solutio
 		}
 		bound := toMin(r.obj)
 		if bound >= incumbentObj-1e-9 {
+			stats.BoundPruned++
 			continue
 		}
 		branch := m.pickBranch(r.x, fx)
 		if branch < 0 {
 			// Integral: candidate incumbent.
+			stats.Integral++
 			tryIncumbent(m.roundExact(r.x), bound, bound)
 			continue
 		}
+		stats.Branched++
 		// Opportunistic rounding: a nearest-integer snapshot of the
 		// fractional relaxation often satisfies the constraints outright
 		// and seeds the incumbent long before a dive bottoms out —
