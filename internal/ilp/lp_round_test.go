@@ -77,15 +77,17 @@ func TestLPRoundInfeasibleProof(t *testing.T) {
 	}
 }
 
-// lpRoundHostile is a model nearest-integer rounding cannot repair: the
-// relaxation optimum sits at u = v = 1/2 on an at-most-one row, and
-// snapping both up violates it.
+// lpRoundHostile is a model nearest-integer rounding cannot repair,
+// and whose bounds no row tightens, so presolve leaves the relaxation to
+// the simplex: its optimum takes one unit from u and v and w = 1/4, and
+// snapping w to 0 leaves the gain row short. The optimum is w = 1 alone.
 func lpRoundHostile() *Model {
 	m := NewModel(Minimize)
 	u := m.AddBinary("u", 1)
-	v := m.AddBinary("v", 10)
+	v := m.AddBinary("v", 1)
+	w := m.AddBinary("w", 10)
 	m.AddConstraint("one", []Term{{Var: u, Coef: 1}, {Var: v, Coef: 1}}, LE, 1)
-	m.AddConstraint("gain", []Term{{Var: u, Coef: 100}, {Var: v, Coef: 200}}, GE, 150)
+	m.AddConstraint("gain", []Term{{Var: u, Coef: 1}, {Var: v, Coef: 1}, {Var: w, Coef: 4}}, GE, 2)
 	return m
 }
 
@@ -99,7 +101,7 @@ func TestLPRoundFailureAndWarmRescue(t *testing.T) {
 	}
 
 	m = lpRoundHostile()
-	m.SetWarmStart([]float64{0, 1})
+	m.SetWarmStart([]float64{0, 0, 1})
 	s, err := m.SolveLPRound(context.Background(), budget.Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +118,7 @@ func TestLPRoundFailureAndWarmRescue(t *testing.T) {
 
 	// An infeasible warm start must not rescue anything.
 	m = lpRoundHostile()
-	m.SetWarmStart([]float64{1, 1})
+	m.SetWarmStart([]float64{1, 1, 0})
 	if _, err := m.SolveLPRound(context.Background(), budget.Budget{}); !errors.Is(err, ErrNoRounding) {
 		t.Fatalf("err = %v, want ErrNoRounding (invalid seed ignored)", err)
 	}

@@ -106,10 +106,11 @@ func TestLPUnbounded(t *testing.T) {
 // with one unused binary (so branch and bound runs), and SolveLPRound
 // report the same Status and Bound, in both senses: +Inf for an
 // infeasible relaxation, -Inf for an unbounded one, the optimum
-// otherwise. Each of them solves exactly one LP and counts it. The
-// one-variable infeasible case is settled by presolve, with no simplex
-// iteration; every case whose rows couple two variables counts its
-// simplex work, pivots and bound flips together.
+// otherwise. Each of them solves exactly one LP and counts it. Presolve
+// settles the two infeasible cases bound propagation can prove, with no
+// simplex iteration, and counts them as infeasible in presolve; the
+// cases only the simplex settles count its work, pivots and bound flips
+// together, and an infeasible one counts as infeasible by LP.
 func TestLPEntryPointsAgree(t *testing.T) {
 	type build func(m *Model)
 	cases := []struct {
@@ -117,16 +118,26 @@ func TestLPEntryPointsAgree(t *testing.T) {
 		build   build
 		status  Status
 		bound   map[Sense]float64
-		coupled bool
+		simplex bool
 	}{
 		{"infeasible", func(m *Model) {
 			x := m.AddVar("x", 0, 1, 1)
 			m.AddConstraint("big", []Term{{x, 1}}, GE, 5)
 		}, Infeasible, map[Sense]float64{Minimize: math.Inf(1), Maximize: math.Inf(1)}, false},
 		{"infeasible coupled", func(m *Model) {
+			// The row's greatest activity over [0,1]² is 2.
 			x := m.AddVar("x", 0, 1, 1)
 			y := m.AddVar("y", 0, 1, 1)
 			m.AddConstraint("big", []Term{{x, 1}, {y, 1}}, GE, 5)
+		}, Infeasible, map[Sense]float64{Minimize: math.Inf(1), Maximize: math.Inf(1)}, false},
+		{"infeasible pair", func(m *Model) {
+			// Each row alone only raises a lower bound, and no finite
+			// number of sweeps meets the upper bounds, which are +Inf;
+			// the rows' sum, 0 ≥ 2, is what the simplex finds.
+			x := m.AddVar("x", 0, math.Inf(1), 1)
+			y := m.AddVar("y", 0, math.Inf(1), 1)
+			m.AddConstraint("xy", []Term{{x, 1}, {y, -1}}, GE, 1)
+			m.AddConstraint("yx", []Term{{y, 1}, {x, -1}}, GE, 1)
 		}, Infeasible, map[Sense]float64{Minimize: math.Inf(1), Maximize: math.Inf(1)}, true},
 		{"unbounded", func(m *Model) {
 			// x − y ≤ 1 with y free above: x + y grows without limit for
@@ -180,8 +191,19 @@ func TestLPEntryPointsAgree(t *testing.T) {
 				if s.Nodes != 1 || s.Stats.ColdLPs != 1 {
 					t.Errorf("%s/%s: %d nodes, stats %+v, want one node and one cold LP", label, sv.name, s.Nodes, s.Stats)
 				}
-				if c.coupled && s.Stats.PrimalPivots+s.Stats.BoundFlips == 0 {
-					t.Errorf("%s/%s: stats %+v, want the LP's pivots and bound flips counted", label, sv.name, s.Stats)
+				if work := s.Stats.PrimalPivots + s.Stats.BoundFlips; c.simplex != (work > 0) {
+					t.Errorf("%s/%s: stats %+v, want simplex work counted: %v", label, sv.name, s.Stats, c.simplex)
+				}
+				var presolved, lp int64
+				if c.status == Infeasible {
+					if c.simplex {
+						lp = 1
+					} else {
+						presolved = 1
+					}
+				}
+				if s.Stats.PresolveInfeasible != presolved || s.Stats.LPInfeasible != lp {
+					t.Errorf("%s/%s: stats %+v, want %d infeasible in presolve and %d by LP", label, sv.name, s.Stats, presolved, lp)
 				}
 			}
 		}
