@@ -6,7 +6,9 @@ package service
 // PARTITAD_CHAOS=1; everything here runs in tier-1.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -250,6 +252,138 @@ func TestJournalCompactedOnRecovery(t *testing.T) {
 			t.Errorf("dead record type %q survived compaction", r.Type)
 		}
 	}
+}
+
+// TestLiveCompactionsReplay: with a compaction every three appends, a
+// journaled server rewrites its log several times while it finishes
+// solved, cache-hit, failed, portfolio and batch jobs, encoding each
+// record from the job's own fields. After a restart every job comes back
+// with the status, key, cached flag, error and result JSON it had before.
+func TestLiveCompactionsReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	s1, err := Open(Config{Workers: 1, JournalPath: path, CompactEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Start()
+	var jobs []*Job
+	submit := func(spec JobSpec) {
+		t.Helper()
+		job, err := s1.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, job)
+		jobs = append(jobs, job)
+	}
+	zero := 0.0
+	for i := int64(0); i < 3; i++ {
+		submit(selectSpec(1000 + 500*i))
+		submit(selectSpec(1000 + 500*i))
+		submit(portfolioSpec(1200+500*i, &zero))
+		failing := selectSpec(1000 + i)
+		failing.Root = "nosuch"
+		submit(failing)
+	}
+	b, err := s1.SubmitBatch(batchSpec(700, 900, 900, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitBatch(t, b)
+	batchJob, ok := s1.Job(b.ID)
+	if !ok {
+		t.Fatalf("batch %s has no job", b.ID)
+	}
+	jobs = append(jobs, batchJob)
+
+	before := map[string]JobView{}
+	kinds := map[string]int{}
+	for _, job := range jobs {
+		v := job.View()
+		before[job.ID] = v
+		switch {
+		case v.Status == StatusFailed:
+			kinds["failed"]++
+		case v.Cached:
+			kinds["cached"]++
+		case v.Result != nil && v.Result.Selection != nil && v.Result.Selection.Portfolio != nil:
+			kinds["portfolio"]++
+		case v.Kind == KindBatch:
+			kinds["batch"]++
+		default:
+			kinds["solved"]++
+		}
+	}
+	for _, k := range []string{"solved", "cached", "failed", "portfolio", "batch"} {
+		if kinds[k] == 0 {
+			t.Fatalf("no %s job among %v", k, kinds)
+		}
+	}
+	if n := s1.jnl.Compactions(); n < 3 {
+		t.Fatalf("%d live compactions, want at least 3", n)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.CloseJournal(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openTestServer(t, Config{Workers: 1, JournalPath: path})
+	if rec := s2.Recovery(); rec.JobsRestored != len(jobs) || rec.JobsRequeued != 0 {
+		t.Fatalf("recovery stats %+v, want %d jobs restored", rec, len(jobs))
+	}
+	for id, want := range before {
+		job, ok := s2.Job(id)
+		if !ok {
+			t.Fatalf("job %s lost across the restart", id)
+		}
+		got := job.View()
+		if got.Status != want.Status || got.Key != want.Key || got.Cached != want.Cached || got.Error != want.Error {
+			t.Errorf("job %s restored as %s key %s cached %v error %q, was %s key %s cached %v error %q",
+				id, got.Status, got.Key, got.Cached, got.Error, want.Status, want.Key, want.Cached, want.Error)
+		}
+		gotJSON, err := json.Marshal(got.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("job %s result differs after the restart:\nbefore: %s\nafter:  %s", id, wantJSON, gotJSON)
+		}
+	}
+	// The batch came back as a batch, with every point.
+	rb, ok := s2.Batch(b.ID)
+	if !ok {
+		t.Fatalf("batch %s lost across the restart", b.ID)
+	}
+	gotPoints, err := json.Marshal(rb.View(true).Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPoints, err := json.Marshal(b.View(true).Points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotPoints, wantPoints) {
+		t.Errorf("batch %s points differ after the restart:\nbefore: %s\nafter:  %s", b.ID, wantPoints, gotPoints)
+	}
+	// Memoized results came back into the result cache.
+	for _, job := range jobs[:3] {
+		hit, err := s2.Submit(job.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := hit.View(); v.Status != StatusDone || !v.Cached {
+			t.Errorf("resubmitted %s after the restart: %s, cached %v; want a cache hit", job.ID, v.Status, v.Cached)
+		}
+	}
+	t.Logf("%d jobs %v across %d live compactions", len(jobs), kinds, s1.jnl.Compactions())
 }
 
 func TestFaultWorkerPanicContained(t *testing.T) {

@@ -388,10 +388,17 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	lastCkpt  time.Time
-	// Journal records still live for this job (see compactJournal).
+	// Journal records still live for this job (see compactJournal). The
+	// submit and final records are kept without their payloads, which
+	// compaction re-encodes from the job's own fields, so a finished job
+	// holds no journal JSON. memoize and outcome are the two fields of
+	// the done record the job keeps nowhere else. The latest checkpoint
+	// of an unfinished job is kept whole.
 	recSubmit *journal.Record
 	recCkpt   *journal.Record
 	recFinal  *journal.Record
+	memoize   bool
+	outcome   string
 }
 
 // JobView is the JSON snapshot served by the poll endpoints.
@@ -502,15 +509,21 @@ func (j *Job) DoneCh() <-chan struct{} { return j.doneCh }
 
 // setRecord remembers the job's live journal records for compaction: a
 // new checkpoint supersedes the previous one, and a final record
-// retires every checkpoint.
-func (j *Job) setRecord(typ string, rec journal.Record) {
+// retires every checkpoint. data is the record's payload; only a done
+// record's memoize flag and outcome are kept from it.
+func (j *Job) setRecord(typ string, rec journal.Record, data any) {
 	j.mu.Lock()
 	switch typ {
 	case recSubmit:
+		rec.Data = nil
 		j.recSubmit = &rec
 	case recCheckpoint:
 		j.recCkpt = &rec
 	case recDone, recFailed:
+		if d, ok := data.(doneData); ok {
+			j.memoize, j.outcome = d.Memoize, d.Outcome
+		}
+		rec.Data = nil
 		j.recFinal = &rec
 		j.recCkpt = nil
 	}
@@ -523,26 +536,53 @@ func (j *Job) setRecord(typ string, rec journal.Record) {
 // record, so a crash mid-batch never re-solves completed points (a
 // finished batch's done record carries all points, retiring them).
 // Running records are never live — an unfinished job re-runs from its
-// spec after a crash.
-func (j *Job) liveRecords() []journal.Record {
+// spec after a crash. The submit and final payloads are encoded afresh
+// from the job's fields.
+func (j *Job) liveRecords() ([]journal.Record, error) {
 	j.mu.Lock()
 	if j.recSubmit == nil {
 		j.mu.Unlock()
-		return nil
+		return nil, nil
 	}
-	out := []journal.Record{*j.recSubmit}
-	final := j.recFinal != nil
-	if final {
-		out = append(out, *j.recFinal)
-	} else if j.recCkpt != nil {
-		out = append(out, *j.recCkpt)
+	sub := *j.recSubmit
+	submit := submitData{ID: j.ID, Key: j.Key, Owner: j.owner}
+	if j.batch != nil {
+		submit.Batch = &j.batch.spec
+	} else {
+		submit.Spec = j.Spec
 	}
+	var final *journal.Record
+	var finalData any
+	if j.recFinal != nil {
+		f := *j.recFinal
+		final = &f
+		finalData = failedData{Error: j.errMsg}
+		if f.Type == recDone {
+			finalData = doneData{Result: j.result, Cached: j.cached, Memoize: j.memoize, Outcome: j.outcome}
+		}
+	}
+	ckpt := j.recCkpt
 	batch := j.batch
 	j.mu.Unlock()
-	if batch != nil && !final {
+
+	var err error
+	if sub.Data, err = json.Marshal(submit); err != nil {
+		return nil, fmt.Errorf("service: encode submit %s: %w", j.ID, err)
+	}
+	out := []journal.Record{sub}
+	if final != nil {
+		if final.Data, err = json.Marshal(finalData); err != nil {
+			return nil, fmt.Errorf("service: encode %s %s: %w", final.Type, j.ID, err)
+		}
+		return append(out, *final), nil
+	}
+	if ckpt != nil {
+		out = append(out, *ckpt)
+	}
+	if batch != nil {
 		out = append(out, batch.pointRecords()...)
 	}
-	return out
+	return out, nil
 }
 
 // checkpointDue reports whether enough time has passed since the last

@@ -213,8 +213,8 @@ func (s *Server) rebuild(rep *journal.Replay) error {
 			doneCh:    make(chan struct{}),
 			recovered: true,
 			submitted: rj.submit.At,
-			recSubmit: &rj.submit,
 		}
+		job.setRecord(recSubmit, rj.submit, nil)
 		if rj.spec.Batch != nil {
 			job.Spec = JobSpec{Kind: KindBatch}
 			job.batch = s.restoreBatch(rj, job)
@@ -230,42 +230,32 @@ func (s *Server) rebuild(rep *journal.Replay) error {
 			job.result = rj.done.Result
 			job.cached = rj.done.Cached
 			job.finished = rj.final.At
-			job.recFinal = rj.final
+			job.setRecord(recDone, *rj.final, *rj.done)
 			close(job.doneCh)
 			if rj.done.Memoize && rj.done.Result != nil {
 				s.results.Put(job.Key, rj.done.Result)
 			}
 			s.recovery.JobsRestored++
-			live = append(live, *job.recSubmit, *job.recFinal)
 		case rj.failed != nil:
 			job.status = StatusFailed
 			job.errMsg = rj.failed.Error
 			job.finished = rj.final.At
-			job.recFinal = rj.final
+			job.setRecord(recFailed, *rj.final, nil)
 			close(job.doneCh)
 			s.recovery.JobsRestored++
-			live = append(live, *job.recSubmit, *job.recFinal)
 		default:
+			// An unfinished batch's journaled point completions stay live
+			// (restoreBatch put them on the batch): they are what stops a
+			// replayed batch from re-solving work that already finished
+			// before the crash.
 			job.status = StatusQueued
 			requeue = append(requeue, job)
-			live = append(live, *job.recSubmit)
-			if job.recCkpt != nil {
-				live = append(live, *job.recCkpt)
-			}
-			// An unfinished batch's journaled point completions stay live:
-			// they are what stops a replayed batch from re-solving work that
-			// already finished before the crash.
-			if len(rj.pointRecs) > 0 {
-				idxs := make([]int, 0, len(rj.pointRecs))
-				for idx := range rj.pointRecs {
-					idxs = append(idxs, idx)
-				}
-				sort.Ints(idxs)
-				for _, idx := range idxs {
-					live = append(live, rj.pointRecs[idx])
-				}
-			}
 		}
+		recs, err := job.liveRecords()
+		if err != nil {
+			return err
+		}
+		live = append(live, recs...)
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
 		if job.batch != nil {
@@ -527,7 +517,7 @@ func (s *Server) appendRecord(job *Job, typ string, data any) error {
 	if err != nil {
 		return err
 	}
-	job.setRecord(typ, rec)
+	job.setRecord(typ, rec, data)
 	return nil
 }
 
@@ -572,7 +562,9 @@ func (s *Server) appendPointRecord(job *Job, idx int, data pointData) error {
 
 // compactJournal rewrites the journal down to the records that still
 // matter: for every tracked job, its submit record plus its final state
-// (or latest checkpoint while unfinished).
+// (or latest checkpoint while unfinished). Memory is the source of
+// truth: the payloads come from the jobs, never from the old file, so a
+// degraded journal heals by compaction.
 func (s *Server) compactJournal() {
 	if s.jnl == nil {
 		return
@@ -587,7 +579,12 @@ func (s *Server) compactJournal() {
 	s.mu.Unlock()
 	var live []journal.Record
 	for _, job := range jobs {
-		live = append(live, job.liveRecords()...)
+		recs, err := job.liveRecords()
+		if err != nil {
+			s.metrics.JournalError()
+			return
+		}
+		live = append(live, recs...)
 	}
 	sort.SliceStable(live, func(i, k int) bool { return live[i].Seq < live[k].Seq })
 	if err := s.jnl.Compact(live); err != nil {
