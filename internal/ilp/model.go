@@ -9,16 +9,21 @@
 // variables and constraints), so every node re-solves its relaxation
 // cold on a dense tableau. A presolve first turns every constraint the
 // node's fixings leave with one free variable into a bound on it, so the
-// tableau holds only rows coupling two or more free variables. Variable
-// bounds stay out of it too: each column carries its upper bound, and
-// the ratio test stops at a basic variable reaching either bound or
-// flips the entering column to its own. Each node's tableau is sized
-// exactly from a count of its rows, slack and artificial columns, in
-// storage the search reuses from node to node. Its rows are nearly empty
-// (a pivot row averages 12 nonzero columns of 196 on the paper's
-// tables), so a pivot updates only the nonzero columns of the pivot row,
-// in the rows with a nonzero pivot-column entry; the values it leaves
-// are those of the full-row update.
+// tableau holds only rows coupling two or more free variables. It then
+// propagates bounds: each remaining row's activity range over the
+// node's bounds either proves the node infeasible, with no simplex at
+// all, or tightens its variables' bounds, integer ones rounded inward.
+// Variable bounds stay out of the tableau too: each column carries its
+// upper bound, and the ratio test stops at a basic variable reaching
+// either bound or flips the entering column to its own. Each node's
+// tableau is sized exactly from a count of its rows, slack and
+// artificial columns, in storage the search reuses from node to node.
+// It is nearly empty: on the paper's tables a pivot row averages 11
+// nonzero columns of 189, and a pivot column 21 nonzero rows of 110. So
+// a pivot updates only the nonzero columns of the pivot row, in the rows
+// with a nonzero pivot-column entry; the values it leaves are those of
+// the full-row update. Each column keeps a superset of its nonzero rows
+// as a bitset, and the ratio test walks only those rows.
 package ilp
 
 import (
