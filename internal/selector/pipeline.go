@@ -273,7 +273,7 @@ func (pl *Pipeline) Next(ctx context.Context) (pt Point, ok bool, err error) {
 	if pl.donor != nil && rg >= pl.donorRG && meetsUniform(pl.donor, rg) {
 		pl.stats.Reused++
 		cp := *pl.donor
-		cp.Nodes, cp.Search = 0, ilp.SearchStats{} // no search happened for this point
+		cp.Nodes, cp.Search, cp.Passes = 0, ilp.SearchStats{}, [2]ilp.SearchStats{} // no search happened for this point
 		return Point{Index: i, Required: rg, Sel: &cp, Reused: true}, true, nil
 	}
 	// Infeasibility propagation: feasible sets shrink as rg grows.

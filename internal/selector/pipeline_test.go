@@ -91,8 +91,8 @@ func TestPipelinePlateauReuse(t *testing.T) {
 		if pt.Sel.Nodes != 0 {
 			t.Errorf("rg=%d reused but reports %d search nodes", pt.Required, pt.Sel.Nodes)
 		}
-		if pt.Sel.Search != (ilp.SearchStats{}) {
-			t.Errorf("rg=%d reused but reports search counters %+v", pt.Required, pt.Sel.Search)
+		if pt.Sel.Search != (ilp.SearchStats{}) || pt.Sel.Passes != [2]ilp.SearchStats{} {
+			t.Errorf("rg=%d reused but reports search counters %+v, per pass %+v", pt.Required, pt.Sel.Search, pt.Sel.Passes)
 		}
 		if !meetsUniform(pt.Sel, pt.Required) {
 			t.Errorf("rg=%d reused selection does not meet the requirement", pt.Required)
