@@ -24,6 +24,15 @@
 // with a nonzero pivot-column entry; the values it leaves are those of
 // the full-row update. Each column keeps a superset of its nonzero rows
 // as a bitset, and the ratio test walks only those rows.
+//
+// A lexicographic second solve need not start again from the root. An
+// Optimal minimization keeps the leaves its search retired without
+// proving them infeasible, each with its proven bound, and
+// Model.SolveWithin starts from those whose bound is at most a limit.
+// The caller asserts that every point the second model accepts, with an
+// objective in the first model of at most the limit, is a point the
+// first model accepts; pinning the first objective at the limit on top
+// of the first model's constraints does that.
 package ilp
 
 import (
@@ -254,6 +263,11 @@ type Solution struct {
 	// Stats carries low-level search counters (LP solves and pivot
 	// counts); purely informational.
 	Stats SearchStats
+
+	// leaves are the subtrees an Optimal minimization by branch and
+	// bound retired without proving them infeasible; SolveWithin starts
+	// from them.
+	leaves []leaf
 }
 
 // Gap reports the relative optimality gap |Objective − Bound| /
