@@ -135,7 +135,7 @@ func TestLPRoundFuzzCorpusSound(t *testing.T) {
 	for c := 0; c < 20; c++ {
 		data := make([]byte, 4+rng.Intn(60))
 		rng.Read(data)
-		m, ok := decodeModel(data)
+		m, _, ok := decodeModel(data)
 		if !ok {
 			continue
 		}
