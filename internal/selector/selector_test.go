@@ -175,13 +175,18 @@ func TestPerPathRequirements(t *testing.T) {
 }
 
 // TestSolveAgainstBruteForce: on random small instances, half of them
-// with Problem-2 conflict pairs, the selection matches exhaustive
-// enumeration lexicographically. Its area is the minimum area (pass 1),
-// and its total gain is the least among the minimum-area selections:
-// the answer of pass 2, the surplus tie-break.
+// with Problem-2 conflict pairs and a third with merging disabled, the
+// selection matches exhaustive enumeration lexicographically. Its area
+// is the minimum area (pass 1), and its total gain is the least among
+// the minimum-area selections: the answer of pass 2, the surplus
+// tie-break. Pass 2 starts from pass 1's leaves, so the trials cover
+// what that needs: without merging the pin row must repeat the
+// per-method interface area of pass 1's objective, and a quarter of the
+// instances are solved again with an area floor at the enumerated
+// optimum, a cut that only pass 1 carries.
 func TestSolveAgainstBruteForce(t *testing.T) {
 	rng := newRng(7)
-	conflicted, tied := 0, 0
+	conflicted, tied, noMerge, floored := 0, 0, 0, 0
 	for trial := 0; trial < 120; trial++ {
 		nSC := 2 + rng.n(4)
 		nIP := 2 + rng.n(3)
@@ -222,11 +227,12 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 			conflicted++
 		}
 		req := int64(50 + rng.n(300))
-		got, err := Solve(Problem{DB: db, Required: req})
+		p := Problem{DB: db, Required: req, DisableMerging: trial%3 == 2}
+		got, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, feasible := bruteForce(db, req)
+		want, feasible := bruteForce(db, req, !p.DisableMerging)
 		if !feasible {
 			if got.Status != ilp.Infeasible {
 				t.Fatalf("trial %d: solver %v, brute force infeasible", trial, got.Status)
@@ -236,16 +242,34 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 		if want.ties > 1 {
 			tied++
 		}
-		if got.Status != ilp.Optimal {
-			t.Fatalf("trial %d: solver %v, brute force found area %g", trial, got.Status, want.area)
+		if p.DisableMerging {
+			noMerge++
 		}
-		if math.Abs(got.Area-want.area) > 1e-6 || got.Gain != want.gain {
-			t.Fatalf("trial %d: solver area %g gain %d, brute force area %g gain %d", trial, got.Area, got.Gain, want.area, want.gain)
+		sels := []*Selection{got}
+		if trial%4 == 0 {
+			p.SetAreaFloor(want.area)
+			again, err := Solve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sels = append(sels, again)
+			floored++
+		}
+		for _, sel := range sels {
+			if sel.Status != ilp.Optimal {
+				t.Fatalf("trial %d (floor %g): solver %v, brute force found area %g", trial, p.AreaFloor(), sel.Status, want.area)
+			}
+			if math.Abs(sel.Area-want.area) > 1e-6 || sel.Gain != want.gain {
+				t.Fatalf("trial %d (floor %g, merging %t): solver area %g gain %d, brute force area %g gain %d",
+					trial, p.AreaFloor(), !p.DisableMerging, sel.Area, sel.Gain, want.area, want.gain)
+			}
 		}
 	}
-	t.Logf("%d instances with conflict pairs, %d with tied minimum areas", conflicted, tied)
-	if conflicted < 20 || tied < 20 {
-		t.Fatalf("only %d instances with conflict pairs and %d with tied minimum areas: the trials exercise too little", conflicted, tied)
+	t.Logf("%d instances with conflict pairs, %d with tied minimum areas, %d without merging, %d solved again with an area floor",
+		conflicted, tied, noMerge, floored)
+	if conflicted < 20 || tied < 20 || noMerge < 20 {
+		t.Fatalf("only %d instances with conflict pairs, %d with tied minimum areas and %d without merging: the trials exercise too little",
+			conflicted, tied, noMerge)
 	}
 }
 
@@ -260,9 +284,10 @@ type bruteAnswer struct {
 
 // bruteForce enumerates all method assignments (including "none" per
 // s-call) that avoid every conflict pair and meet the requirement, and
-// returns their lexicographic optimum: merged area first, then total
-// gain.
-func bruteForce(db *imp.DB, required int64) (bruteAnswer, bool) {
+// returns their lexicographic optimum: area first, then total gain. With
+// merge, methods implemented the same way share one interface, charged
+// at their largest interface area; without it each method pays its own.
+func bruteForce(db *imp.DB, required int64, merge bool) (bruteAnswer, bool) {
 	perSC := make([][]int, len(db.SCalls))
 	for i, m := range db.IMPs {
 		for s, sc := range db.SCalls {
@@ -295,6 +320,10 @@ func bruteForce(db *imp.DB, required int64) (bruteAnswer, bool) {
 				if !ips[m.IP.ID] {
 					ips[m.IP.ID] = true
 					area += m.IP.Area
+				}
+				if !merge {
+					area += m.IfaceArea
+					continue
 				}
 				key := m.IP.ID + "/" + m.Cand.Type.String() + "/" + m.Flattened
 				if m.IfaceArea > grpMax[key] {
