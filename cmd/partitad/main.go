@@ -29,11 +29,13 @@
 // witness, the greedy baseline, LP-relaxation + rounding, and the
 // exact branch and bound (plus the re-priced previous answer on
 // edits); the result carries per-engine attribution (winner,
-// first-acceptable gap and latency, exact confirmation). POST /v1/jobs/{id}/edits derives a new
-// portfolio job from a finished select job by applying interactive
-// edits (IP areas, IMP gains, required gains) and warm-starts it from
-// the parent's cached selection; -portfolio-gap sets the default
-// acceptability threshold. See docs/SERVICE.md ("Interactive edits").
+// first-acceptable gap and latency, exact confirmation). POST
+// /v1/jobs/{id}/edits derives a new portfolio job from a finished
+// select job by applying interactive edits (IP areas, IMP gains,
+// required gains); the parent's cached selection, re-priced under the
+// edits, races as the seed engine's candidate. -portfolio-gap sets the
+// default acceptability threshold. See docs/SERVICE.md ("Interactive
+// edits").
 //
 // With -journal, the daemon is crash-safe: every accepted job is
 // recorded in an append-only, checksummed, fsync'd log before the 202
@@ -55,7 +57,7 @@
 // result cache or coalesced onto identical in-flight work where
 // possible, and the remainder is grouped by program and driven through
 // a shared-analysis sweep pipeline (analyze once, select many — with
-// plateau reuse, infeasibility propagation, and greedy warm starts).
+// plateau reuse and infeasibility propagation).
 // Results stream incrementally over GET /v1/batches/{id}/events as
 // Server-Sent Events — per-point incumbent progress, point
 // completions, and a terminal batch summary, resumable by

@@ -31,7 +31,7 @@ func main() {
 	// Drive the lazy shared-analysis pipeline directly instead of the
 	// eager Sweep adapter: the program is analyzed once, points whose
 	// answer follows from a looser point complete without any search,
-	// and the solved ones are warm-started from the greedy baseline.
+	// and only the rest are solved.
 	const n = 12
 	gains := make([]int64, n)
 	for i := 1; i <= n; i++ {
@@ -50,8 +50,8 @@ func main() {
 		points = append(points, partita.SweepPoint{Required: pt.Required, Sel: pt.Sel})
 	}
 	st := pl.Stats()
-	fmt.Printf("sweep pipeline: %d points, %d solved, %d reused, %d greedy-seeded\n\n",
-		pl.Len(), st.Solved, st.Reused, st.GreedySeeds)
+	fmt.Printf("sweep pipeline: %d points, %d solved, %d reused\n\n",
+		pl.Len(), st.Solved, st.Reused)
 	front := partita.ParetoFront(points)
 
 	fmt.Println("area/gain Pareto frontier (GSM encoder):")

@@ -226,27 +226,6 @@ func (m *Model) roundExact(lp []float64) []float64 {
 	return x
 }
 
-// warmIncumbent validates the model's warm-start point, if any: integer
-// variables are snapped exactly, then every bound and constraint is
-// checked. On success it returns the snapped point and its objective in
-// minimization sense, ready to install as the initial incumbent. An
-// invalid or infeasible warm start is silently ignored — it is a hint,
-// not an input.
-func (m *Model) warmIncumbent() (x []float64, objMin float64, ok bool) {
-	if m.warmX == nil || len(m.warmX) != len(m.vars) {
-		return nil, 0, false
-	}
-	x = m.roundExact(m.warmX)
-	obj, ok := m.evalPoint(x)
-	if !ok {
-		return nil, 0, false
-	}
-	if m.sense == Maximize {
-		obj = -obj
-	}
-	return x, obj, true
-}
-
 // branchAndBound searches best-first from the open nodes roots.
 func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*bbNode) (*Solution, error) {
 	// Internally minimize; flip at the end if maximizing.
@@ -263,12 +242,6 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*
 	nodes := 0
 	var stats SearchStats
 	var leaves []leaf
-	if x, objMin, ok := m.warmIncumbent(); ok {
-		// Seeds carried in from a previous solve prune from node one but
-		// emit no OnIncumbent event: the callback stream reports this
-		// solve's discoveries.
-		incumbentObj, incumbentX = objMin, x
-	}
 
 	fx := &fixSet{}
 	ar := &arena{}

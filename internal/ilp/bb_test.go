@@ -206,86 +206,6 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestWarmStartSeedsIncumbent: a valid warm start leaves the proven
-// optimum untouched, fires no event for the seed itself, and every
-// event it does fire beats the seed.
-func TestWarmStartSeedsIncumbent(t *testing.T) {
-	ref := adversarialModel(10)
-	s0, err := ref.Solve()
-	if err != nil || s0.Status != Optimal {
-		t.Fatalf("reference solve: %v / %v", err, s0)
-	}
-
-	// Seed with a deliberately suboptimal feasible point: all zeros.
-	m := adversarialModel(10)
-	m.SetWarmStart(make([]float64, len(s0.Values)))
-	var events []Progress
-	m.OnIncumbent(func(p Progress) { events = append(events, p) })
-	s, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != Optimal || math.Abs(s.Objective-s0.Objective) > 1e-9 {
-		t.Fatalf("got %v/%g, want Optimal/%g", s.Status, s.Objective, s0.Objective)
-	}
-	for i, e := range events {
-		if e.Nodes <= 0 {
-			t.Errorf("event %d: nodes = %d (seed install must not fire)", i, e.Nodes)
-		}
-		if e.Objective <= 0 {
-			t.Errorf("event %d: objective %g does not beat the zero seed", i, e.Objective)
-		}
-	}
-}
-
-// TestWarmStartOptimalSeed: seeding with the optimum itself still
-// terminates with the optimum (the search proves, rather than finds,
-// the answer).
-func TestWarmStartOptimalSeed(t *testing.T) {
-	ref := adversarialModel(8)
-	s0, err := ref.Solve()
-	if err != nil || s0.Status != Optimal {
-		t.Fatalf("reference solve: %v / %v", err, s0)
-	}
-	m := adversarialModel(8)
-	m.SetWarmStart(s0.Values)
-	s, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != Optimal || math.Abs(s.Objective-s0.Objective) > 1e-9 {
-		t.Errorf("got %v/%g, want Optimal/%g", s.Status, s.Objective, s0.Objective)
-	}
-	if err := m.Check(s, 1e-6); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestWarmStartInvalidIgnored: infeasible, mis-sized, or nil warm
-// starts are ignored without changing the answer.
-func TestWarmStartInvalidIgnored(t *testing.T) {
-	ref := adversarialModel(6)
-	s0, err := ref.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	allOnes := make([]float64, len(s0.Values)) // violates the cap constraint
-	for i := range allOnes {
-		allOnes[i] = 1
-	}
-	for i, seed := range [][]float64{nil, {1}, allOnes} {
-		m := adversarialModel(6)
-		m.SetWarmStart(seed)
-		s, err := m.Solve()
-		if err != nil {
-			t.Fatalf("seed %d: %v", i, err)
-		}
-		if s.Status != Optimal || math.Abs(s.Objective-s0.Objective) > 1e-9 {
-			t.Errorf("seed %d: got %v/%g, want Optimal/%g", i, s.Status, s.Objective, s0.Objective)
-		}
-	}
-}
-
 // TestFixSetChain pins down the parent-pointer fixing chain semantics:
 // the nearest fixing on the path to the root wins, entries from a
 // previously loaded node are cleared, and a nil fixSet has no fixings.

@@ -8,9 +8,9 @@ import (
 )
 
 // ErrNoRounding is returned by SolveLPRound when the root relaxation is
-// fractional, nearest-integer rounding violates a constraint, and no
-// valid warm start is installed: the cheap engine has no answer for this
-// instance and the caller should fall back to branch and bound.
+// fractional and nearest-integer rounding violates a constraint: the
+// cheap engine has no answer for this instance and the caller should
+// fall back to branch and bound.
 var ErrNoRounding = errors.New("ilp: LP rounding produced no feasible point")
 
 // BoundError is the concrete error SolveLPRound returns when rounding
@@ -50,12 +50,8 @@ func (e *BoundError) Unwrap() error { return ErrNoRounding }
 //     snapped point satisfies every constraint it is returned as
 //     Feasible with the LP objective as the proven Bound, so Gap()
 //     reports exactly how far from optimal it can be;
-//   - otherwise the model's warm start (SetWarmStart), if valid, is
-//     returned as the Feasible answer under the same LP bound — on an
-//     incremental re-solve this is the previous selection, delivered at
-//     the cost of one simplex run;
-//   - with nothing feasible in hand, a *BoundError (matching
-//     ErrNoRounding) that still carries the proven relaxation bound.
+//   - otherwise a *BoundError (matching ErrNoRounding) that still
+//     carries the proven relaxation bound.
 //
 // One simplex solve, one node: Solution.Nodes is always 1 and
 // Solution.Stats counts one cold LP with its pivots and bound flips.
@@ -87,14 +83,6 @@ func (m *Model) SolveLPRound(ctx context.Context, bud budget.Budget) (*Solution,
 			return &Solution{Status: Optimal, Objective: obj, Values: x, Nodes: 1, Bound: obj, Stats: stats}, nil
 		}
 	} else if x, obj, ok := m.roundToFeasible(r.x); ok {
-		return &Solution{Status: Feasible, Objective: obj, Values: x, Nodes: 1, Bound: bound, Stats: stats}, nil
-	}
-
-	if x, objMin, ok := m.warmIncumbent(); ok {
-		obj := objMin
-		if m.sense == Maximize {
-			obj = -obj
-		}
 		return &Solution{Status: Feasible, Objective: obj, Values: x, Nodes: 1, Bound: bound, Stats: stats}, nil
 	}
 	return nil, &BoundError{Bound: bound, X: append([]float64(nil), r.x...), Stats: stats}

@@ -91,36 +91,12 @@ func lpRoundHostile() *Model {
 	return m
 }
 
-// TestLPRoundFailureAndWarmRescue: the hostile instance yields
-// ErrNoRounding cold, but a valid warm start (the previous answer of an
-// edit loop) is returned instead, under the same LP bound.
-func TestLPRoundFailureAndWarmRescue(t *testing.T) {
+// TestLPRoundHostileNoRounding: on the hostile instance rounding finds
+// no feasible point, so SolveLPRound returns ErrNoRounding.
+func TestLPRoundHostileNoRounding(t *testing.T) {
 	m := lpRoundHostile()
 	if _, err := m.SolveLPRound(context.Background(), budget.Budget{}); !errors.Is(err, ErrNoRounding) {
 		t.Fatalf("err = %v, want ErrNoRounding", err)
-	}
-
-	m = lpRoundHostile()
-	m.SetWarmStart([]float64{0, 0, 1})
-	s, err := m.SolveLPRound(context.Background(), budget.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != Feasible || s.Objective != 10 {
-		t.Fatalf("got %v/%g, want Feasible/10 (the warm start)", s.Status, s.Objective)
-	}
-	if s.Bound > s.Objective {
-		t.Errorf("bound %g above objective %g on a minimization", s.Bound, s.Objective)
-	}
-	if err := m.Check(s, 1e-6); err != nil {
-		t.Error(err)
-	}
-
-	// An infeasible warm start must not rescue anything.
-	m = lpRoundHostile()
-	m.SetWarmStart([]float64{1, 1, 0})
-	if _, err := m.SolveLPRound(context.Background(), budget.Budget{}); !errors.Is(err, ErrNoRounding) {
-		t.Fatalf("err = %v, want ErrNoRounding (invalid seed ignored)", err)
 	}
 }
 

@@ -110,7 +110,6 @@ type Model struct {
 	cons        []constraint
 	onIncumbent func(Progress)
 	onBound     func(Progress)
-	warmX       []float64
 }
 
 // Progress describes one anytime event of a branch-and-bound solve: a
@@ -160,20 +159,6 @@ func (m *Model) OnIncumbent(f func(Progress)) { m.onIncumbent = f }
 // whose acceptability test tightens with every proven bound. Same
 // contract as OnIncumbent: fast, no re-entry, nil removes it.
 func (m *Model) OnBound(f func(Progress)) { m.onBound = f }
-
-// SetWarmStart supplies a candidate point (one value per variable, in
-// Var order) installed as the initial incumbent of the next
-// branch-and-bound solve. The point is validated first — integer
-// variables are snapped exactly, then every bound and constraint is
-// checked — and silently ignored when it does not fit the model or is
-// infeasible: a warm start is a hint, never an input. A valid warm
-// start cannot change the final Status or Objective of an exhaustive
-// solve; it only tightens pruning from the first node, and under a
-// budget the anytime result can only be as good or better. Installing
-// the seed fires no OnIncumbent event — the callback stream reports
-// discoveries of this solve, not values carried in from a previous one.
-// Passing nil clears the warm start. Pure-LP solves ignore it.
-func (m *Model) SetWarmStart(x []float64) { m.warmX = x }
 
 // NewModel returns an empty model with the given optimization sense.
 func NewModel(sense Sense) *Model {

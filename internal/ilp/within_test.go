@@ -101,9 +101,9 @@ func (p lexPair) model(sense Sense, obj []float64, extra ...lexRow) *Model {
 
 // enumerate minimizes obj over the pair's rows and extra rows by
 // enumerating the binaries and, for each assignment, the interval the
-// rows leave c. It reports the optimum, how many assignments reach it,
-// and a point reaching it.
-func (p lexPair) enumerate(obj []float64, extra ...lexRow) (best float64, ties int, arg []float64) {
+// rows leave c. It reports the optimum and how many assignments reach
+// it.
+func (p lexPair) enumerate(obj []float64, extra ...lexRow) (best float64, ties int) {
 	best = math.Inf(1)
 	rows := append(append([]lexRow(nil), p.rows...), extra...)
 	for mask := 0; mask < 1<<p.n; mask++ {
@@ -146,18 +146,11 @@ func (p lexPair) enumerate(obj []float64, extra ...lexRow) (best float64, ties i
 		switch {
 		case v < best-1e-9:
 			best, ties = v, 1
-			arg = make([]float64, p.n+1)
-			for j := 0; j < p.n; j++ {
-				if mask&(1<<j) != 0 {
-					arg[j] = 1
-				}
-			}
-			arg[p.n] = c
 		case v <= best+1e-9:
 			ties++
 		}
 	}
-	return best, ties, arg
+	return best, ties
 }
 
 // sameSolve reports whether two solves are the same search: status,
@@ -179,30 +172,26 @@ func sameSolve(a, b *Solution) bool {
 
 // TestSolveWithinAgainstBruteForce checks SolveWithin on random
 // lexicographic pairs. Pass 1 minimizes the first objective, sometimes
-// with a warm start and with a floor on its own objective, a valid cut
-// that pass 2 does not carry. Pass 2 pins the first objective at pass
-// 1's optimum + 1e-6 and minimizes the second. Started from pass 1's
-// leaves, it must reach the status and optimum of a root solve and of
-// the enumeration, with a point that passes Check. Where the contract
-// does not hold (a nil, Feasible, Infeasible, Maximize or wider prev),
-// SolveWithin must be the root solve itself.
+// with a floor on its own objective, a valid cut that pass 2 does not
+// carry. Pass 2 pins the first objective at pass 1's optimum + 1e-6 and
+// minimizes the second. Started from pass 1's leaves, it must reach the
+// status and optimum of a root solve and of the enumeration, with a
+// point that passes Check. Where the contract does not hold (a nil,
+// Feasible, Infeasible, Maximize or wider prev), SolveWithin must be
+// the root solve itself.
 func TestSolveWithinAgainstBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(2020))
-	var tied, cut, warm, skipped, feasiblePrev int
+	var tied, cut, skipped, feasiblePrev int
 	for trial := 0; trial < 300; trial++ {
 		p := randomLexPair(rng)
-		opt1, ties1, arg1 := p.enumerate(p.obj1)
+		opt1, ties1 := p.enumerate(p.obj1)
 		var extra []lexRow
 		if !math.IsInf(opt1, 1) && rng.Intn(3) == 0 {
 			extra = append(extra, lexRow{p.obj1, GE, opt1 - float64(rng.Intn(3)) - 1e-6})
 			cut++
 		}
 		m1 := p.model(Minimize, p.obj1, extra...)
-		if arg1 != nil && rng.Intn(3) == 0 {
-			m1.SetWarmStart(arg1)
-			warm++
-		}
 		s1, err := m1.SolveCtx(ctx, budget.Budget{})
 		if err != nil {
 			t.Fatalf("trial %d: pass 1: %v", trial, err)
@@ -222,7 +211,7 @@ func TestSolveWithinAgainstBruteForce(t *testing.T) {
 
 		limit := s1.Objective + 1e-6
 		pin := lexRow{p.obj1, LE, limit}
-		opt2, _, _ := p.enumerate(p.obj2, pin)
+		opt2, _ := p.enumerate(p.obj2, pin)
 		m2 := p.model(Minimize, p.obj2, pin)
 		root, err := m2.SolveCtx(ctx, budget.Budget{})
 		if err != nil {
@@ -291,9 +280,9 @@ func TestSolveWithinAgainstBruteForce(t *testing.T) {
 		checkFallback(t, trial, "wider prev", m2, sWide, limit)
 		checkFallback(t, trial, "nil prev", m2, nil, limit)
 	}
-	t.Logf("%d pairs with a tied pass-1 optimum, %d with a pass-1 cut, %d warm-started, %d skipping a leaf, %d with a Feasible prev",
-		tied, cut, warm, skipped, feasiblePrev)
-	if tied < 100 || cut < 60 || warm < 60 || skipped < 100 || feasiblePrev < 50 {
+	t.Logf("%d pairs with a tied pass-1 optimum, %d with a pass-1 cut, %d skipping a leaf, %d with a Feasible prev",
+		tied, cut, skipped, feasiblePrev)
+	if tied < 100 || cut < 60 || skipped < 100 || feasiblePrev < 50 {
 		t.Fatalf("the trials exercise too little")
 	}
 }
@@ -316,14 +305,14 @@ func TestSolveWithinFloorAtOptimum(t *testing.T) {
 		obj2: []float64{0, -2, 0, 0, 0, 0, 0},
 	}
 	ctx := context.Background()
-	opt1, _, _ := p.enumerate(p.obj1)
+	opt1, _ := p.enumerate(p.obj1)
 	s1, err := p.model(Minimize, p.obj1, lexRow{p.obj1, GE, opt1 - 1e-6}).SolveCtx(ctx, budget.Budget{})
 	if err != nil || s1.Status != Optimal || s1.Objective > opt1-1e-7 {
 		t.Fatalf("pass 1: %v %v, want Optimal below the enumerated %g", s1, err, opt1)
 	}
 	limit := s1.Objective + 1e-6
 	pin := lexRow{p.obj1, LE, limit}
-	opt2, _, _ := p.enumerate(p.obj2, pin)
+	opt2, _ := p.enumerate(p.obj2, pin)
 	m2 := p.model(Minimize, p.obj2, pin)
 	root, err1 := m2.SolveCtx(ctx, budget.Budget{})
 	within, err2 := m2.SolveWithin(ctx, budget.Budget{}, s1, limit)

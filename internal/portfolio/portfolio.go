@@ -15,12 +15,13 @@
 //
 // Incremental re-solve (Reselect) layers a selector.Delta onto the
 // shared analysis (copy-on-write — unchanged per-path coefficient rows
-// are reused by reference) and seeds every engine from the previous
-// Selection via ilp.Model.SetWarmStart, so an edit solve starts from
-// the old answer instead of from scratch. Seeds are validated against
-// the edited model and can only tighten pruning, never change the
-// settled answer: with Gap 0 the portfolio's settled result is the
-// exact solver's, byte for byte.
+// are reused by reference). The previous Selection enters the race in
+// two ways, neither of which starts a solver from it: re-priced under
+// the edit, it races as the Seed candidate; and when it was proven
+// optimal, selector.Analysis.FloorShrink turns its area into a proven
+// floor on the edited optimum. Every engine still solves from scratch,
+// so with Gap 0 the portfolio's settled result is the exact solver's,
+// byte for byte.
 package portfolio
 
 import (
@@ -51,8 +52,8 @@ const (
 	// Seed is not a solver: on an incremental re-solve it is the
 	// previous selection re-priced under the edited analysis
 	// (selector.Analysis.Evaluate) and offered before any engine has
-	// started. With a carried-over proven floor it is usually the race
-	// winner — the designer's old answer, re-validated in microseconds.
+	// started — the designer's old answer, re-validated in
+	// microseconds. It wins only when a bound proves it acceptable.
 	Seed Engine = "seed"
 	// Capacity is the covering-knapsack bound's witness
 	// (selector.Analysis.CapacityWitness): the IP subset that proves
@@ -112,8 +113,8 @@ type Result struct {
 	// infeasible) — i.e. the fast answer the caller may already have
 	// acted on was right.
 	Confirmed bool
-	// Seeded reports that the engines were warm-started from a previous
-	// selection (an incremental re-solve).
+	// Seeded reports that the race was given a previous selection (an
+	// incremental re-solve), which raced re-priced as the Seed engine.
 	Seeded bool
 }
 
@@ -216,11 +217,12 @@ func (st *state) checkFirstLocked(proven bool, eng Engine, sel *selector.Selecti
 }
 
 // Run races the engines over an (optionally Delta-derived) analysis.
-// seed, when non-nil, warm-starts the LP and exact engines from a
-// previous selection. Run returns when the race settles: a proof
-// arrived (losers are canceled), every engine returned, or ctx expired
-// with at least one candidate in hand. With no candidate and no proof,
-// the first engine error (preferring the exact engine's) is returned.
+// seed, when non-nil, is a previous selection: Run re-prices it under
+// the analysis and races it as the Seed engine. Run returns when the
+// race settles: a proof arrived (losers are canceled), every engine
+// returned, or ctx expired with at least one candidate in hand. With no
+// candidate and no proof, the first engine error (preferring the exact
+// engine's) is returned.
 func Run(ctx context.Context, an *selector.Analysis, p selector.Problem, seed *selector.Selection, cfg Config) (*Result, error) {
 	if p.DB == nil {
 		p.DB = an.DB()
@@ -301,7 +303,7 @@ func Run(ctx context.Context, an *selector.Analysis, p selector.Problem, seed *s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sel, bound, err := an.LPRound(raceCtx, p, seed)
+			sel, bound, err := an.LPRound(raceCtx, p, nil)
 			if err != nil {
 				st.raiseLower(bound)
 				lpErr = err
@@ -339,7 +341,7 @@ func Run(ctx context.Context, an *selector.Analysis, p selector.Problem, seed *s
 			}
 		}
 		p2.OnBound = st.raiseLower
-		sel, err := an.SolveSeeded(raceCtx, p2, seed)
+		sel, err := an.Solve(raceCtx, p2)
 		if err != nil {
 			exactErr = err
 			return
@@ -444,10 +446,10 @@ func cloneAs(s *selector.Selection, st ilp.Status) *selector.Selection {
 
 // Reselect is the incremental re-solve: apply d to the shared analysis
 // and problem (copy-on-write; unchanged coefficient rows are shared by
-// reference) and race the engines seeded from the previous selection.
-// It returns the race result together with the derived analysis so the
-// caller can chain further edits off it. prev may be nil (a cold
-// portfolio solve of the edited problem).
+// reference) and race the engines, with the previous selection
+// re-priced as the Seed candidate. It returns the race result together
+// with the derived analysis so the caller can chain further edits off
+// it. prev may be nil (a cold portfolio solve of the edited problem).
 func Reselect(ctx context.Context, an *selector.Analysis, prev *selector.Selection, d selector.Delta, p selector.Problem, cfg Config) (*Result, *selector.Analysis, error) {
 	na, err := an.Apply(d)
 	if err != nil {
@@ -463,9 +465,8 @@ func Reselect(ctx context.Context, an *selector.Analysis, prev *selector.Selecti
 	// the edit can only shrink the feasible set or shift areas: the new
 	// optimum cannot drop below prev.Area minus the total possible area
 	// decrease. The floor is both a pass-1 cut (the exact engine prunes
-	// at it) and the race's opening lower bound, which is what makes a
-	// warm re-solve after a small edit settle in a fraction of a cold
-	// one. Conservatively skipped whenever a gain rose or a requirement
+	// at it) and the race's opening lower bound, against which the Seed
+	// candidate can be accepted at once. Conservatively skipped whenever a gain rose or a requirement
 	// loosened — correctness never depends on the floor being available.
 	if prev != nil && prev.Status == ilp.Optimal && prev.Degraded == "" {
 		if shrink, ok := an.FloorShrink(d); ok && !loosened(len(na.DB().Paths), orig, p) {

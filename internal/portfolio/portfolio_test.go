@@ -244,10 +244,10 @@ func TestPortfolioConfirmedOnProof(t *testing.T) {
 }
 
 // TestReselectMatchesCold drives an edit chain — IP area, method gain,
-// then a requirement change — through Reselect with warm seeding, and
-// checks every settled answer against a cold exact solve of the same
-// edited problem: zero correctness drift, and the parent analysis is
-// never mutated.
+// then a requirement change — through Reselect with the previous
+// selection as the seed candidate, and checks every settled answer
+// against a cold exact solve of the same edited problem: zero
+// correctness drift, and the parent analysis is never mutated.
 func TestReselectMatchesCold(t *testing.T) {
 	db, _, err := apps.GSMEncoderTable()
 	if err != nil {

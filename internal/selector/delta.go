@@ -7,11 +7,9 @@ package selector
 // rewritten. Everything untouched — the group structure, interface
 // areas, the per-path frequency matrix, and every coefficient row when
 // no gain changed — is shared with the parent analysis by reference, so
-// an edit solve re-derives nothing from the CDFG. The previous
-// Selection then seeds the derived solve through SolveSeeded/LPRound:
-// ilp.Model.SetWarmStart re-validates the old point against the edited
-// model, so a seed that an edit made infeasible is silently dropped and
-// correctness never depends on the edit being small.
+// an edit solve re-derives nothing from the CDFG. What an edit solve
+// carries over from the previous one is a proven floor on the optimal
+// area (FloorShrink), installed with Problem.SetAreaFloor.
 
 import (
 	"context"
@@ -275,31 +273,6 @@ func (a *Analysis) Evaluate(p Problem, sel *Selection) *Selection {
 	return out
 }
 
-// SolveSeeded runs the exact lexicographic solve with a previous
-// Selection installed as the warm start of the area pass. The seed is
-// reconstructed into the model's variable layout and re-validated by
-// the ILP layer against the (possibly edited) model, so it can tighten
-// pruning but never change the proven answer; an invalid or stale seed
-// is silently ignored. A nil seed is plain Solve.
-func (a *Analysis) SolveSeeded(ctx context.Context, p Problem, seed *Selection) (*Selection, error) {
-	if p.DB == nil {
-		p.DB = a.db
-	}
-	if p.DB != a.db {
-		return nil, fmt.Errorf("selector: problem DB does not match the analysis DB")
-	}
-	if len(a.db.IMPs) == 0 {
-		return &Selection{Status: ilp.Infeasible}, nil
-	}
-	if seed != nil && len(seed.Chosen) > 0 {
-		layout := &instance{Analysis: a, p: Problem{DB: a.db, DisableMerging: p.DisableMerging}}
-		if v := layout.warmVector(seed); v != nil {
-			p.warmStart = v
-		}
-	}
-	return solveBound(ctx, &instance{Analysis: a, p: p})
-}
-
 // LPRound is the LP-relaxation + rounding engine over the shared
 // analysis: one simplex solve of the area pass, snapped to the nearest
 // integers (ilp.SolveLPRound). It returns the selection together with
@@ -310,11 +283,12 @@ func (a *Analysis) SolveSeeded(ctx context.Context, p Problem, seed *Selection) 
 // (bound +Inf, vacuous); a rounded point comes back Feasible with its
 // area gap versus the LP bound (the area may in fact be optimal, but
 // the lexicographic tie-break pass never ran, so the result is never
-// labeled Optimal); when rounding fails and no valid seed rescues it,
+// labeled Optimal); when neither rounding nor repairLP finds a point,
 // the engine has no answer and the error wraps ilp.ErrNoRounding — but
 // the returned bound is still the proven LP bound, so the caller can
 // judge other engines' candidates against it. Every returned selection
 // carries the one cold LP with its pivots and bound flips in Search.
+// The seed argument is ignored; it stays so existing callers compile.
 func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Selection, float64, error) {
 	if p.DB == nil {
 		p.DB = a.db
@@ -333,11 +307,6 @@ func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Se
 		return 0
 	}
 	h := in.build(ifaceObj, func(area float64) float64 { return area }, 0, 1)
-	if seed != nil && len(seed.Chosen) > 0 {
-		if v := in.warmVector(seed); v != nil {
-			h.m.SetWarmStart(v)
-		}
-	}
 	s, err := h.m.SolveLPRound(ctx, p.Budget)
 	if err != nil {
 		var be *ilp.BoundError

@@ -156,35 +156,6 @@ func TestDeltaMerge(t *testing.T) {
 	}
 }
 
-// TestSolveSeededIgnoresStaleSeed: a seed the edit made infeasible is
-// silently dropped and the answer matches an unseeded solve.
-func TestSolveSeededIgnoresStaleSeed(t *testing.T) {
-	a := NewAnalysis(deltaDB(t))
-	p := Problem{Required: 60}
-	base, err := a.Solve(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tighten the requirement past the seed's reach on a derived
-	// analysis where IMP gains were slashed.
-	na, err := a.Apply(Delta{IMPGain: map[string]int64{a.db.IMPs[1].ID: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := na.Solve(context.Background(), Problem{Required: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeded, err := na.SolveSeeded(context.Background(), Problem{Required: 150}, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded.Status != ref.Status || seeded.Area != ref.Area || seeded.Gain != ref.Gain {
-		t.Errorf("seeded %v/%v/%d, unseeded %v/%v/%d",
-			seeded.Status, seeded.Area, seeded.Gain, ref.Status, ref.Area, ref.Gain)
-	}
-}
-
 // TestLPRoundBounds: the LP engine's bound never exceeds the true
 // optimal area, its selection is feasible for the requirement, and an
 // unreachable requirement is proven Infeasible.

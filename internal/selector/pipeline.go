@@ -3,7 +3,7 @@ package selector
 // The sweep pipeline: a one-shot immutable Analysis artifact holding
 // everything about a selection problem that does not depend on the
 // required-gain point, plus a lazy Pipeline iterator that solves a
-// sequence of points over the shared artifact. Three properties of the
+// sequence of points over the shared artifact. Two properties of the
 // 0-1 ILP make the pipeline much cheaper than independent solves:
 //
 //   - Plateau reuse. The optimal area A*(rg) is non-decreasing in rg,
@@ -20,10 +20,7 @@ package selector
 //     one point proven infeasible makes every tighter point infeasible
 //     without another search.
 //
-//   - Warm starts. A point that must be solved is seeded with the
-//     greedy baseline at its own requirement, installed through
-//     ilp.Model.SetWarmStart, which validates the seed and guarantees
-//     it can only tighten pruning, never change the answer.
+// A point that must be solved runs the same cold solve as Solve.
 //
 // Points run strictly in ascending order, so which points are solved,
 // reused, or propagated is deterministic.
@@ -164,24 +161,6 @@ func (a *Analysis) Greedy(p Problem) *Selection {
 	return greedyBound(&instance{Analysis: a, p: p})
 }
 
-// greedySeed builds a warm-start vector for the uniform requirement rg
-// from the greedy baseline: when greedy reaches the requirement, its
-// selection is a feasible point of the exact model, and SetWarmStart
-// installs it (after validation) as the initial incumbent — an upper
-// bound the search prunes against from node one. Returns nil when
-// greedy falls short of rg.
-func (a *Analysis) greedySeed(rg int64) []float64 {
-	if rg <= 0 || len(a.db.IMPs) == 0 {
-		return nil
-	}
-	g := a.Greedy(Problem{DB: a.db, Required: rg})
-	if g.Status != ilp.Optimal {
-		return nil
-	}
-	layout := &instance{Analysis: a, p: Problem{DB: a.db}}
-	return layout.warmVector(g)
-}
-
 // meetsUniform reports whether sel achieves at least rg on every
 // execution path — i.e. whether it is feasible at the uniform
 // requirement rg.
@@ -217,8 +196,9 @@ type PipelineStats struct {
 	// Reused points completed with zero solver work (plateau reuse or
 	// propagated infeasibility).
 	Reused int
-	// GreedySeeds counts solved points whose search was warm-started
-	// with the greedy baseline's selection.
+	// GreedySeeds always reads 0: solved points start cold.
+	//
+	// Deprecated: the pipeline seeds no search.
 	GreedySeeds int
 }
 
@@ -283,17 +263,9 @@ func (pl *Pipeline) Next(ctx context.Context) (pt Point, ok bool, err error) {
 	}
 
 	p := Problem{DB: pl.an.db, Required: rg, Budget: pl.bud}
-	if pl.donor != nil && rg >= pl.donorRG {
-		// Monotonicity cut: the optimal area here is at least the donor's.
-		p.areaFloor = pl.donor.Area
-	}
 	if pl.observe != nil {
 		obs, idx := pl.observe, i
 		p.OnIncumbent = func(inc Incumbent) { obs(idx, inc) }
-	}
-	if seed := pl.an.greedySeed(rg); seed != nil {
-		p.warmStart = seed
-		pl.stats.GreedySeeds++
 	}
 	sel, err := pl.an.Solve(ctx, p)
 	if err != nil {

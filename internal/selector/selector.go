@@ -69,21 +69,11 @@ type Problem struct {
 	// candidate acceptability against.
 	OnBound func(bound float64)
 
-	// warmStart optionally seeds the area-minimization pass with a known
-	// feasible point over the pass-1 variable layout (see
-	// instance.warmVector). The ILP layer validates it and installs it as
-	// the initial incumbent; it can tighten pruning but never changes the
-	// proven optimum, and the tie-break pass deliberately ignores it so
-	// the lexicographic selection stays identical with or without a seed.
-	// Set only by the sweep pipeline.
-	warmStart []float64
 	// areaFloor, when positive, adds the valid cut area >= areaFloor to
-	// the area-minimization pass. The sweep pipeline sets it to the
-	// optimal area of a looser point: the optimum is non-decreasing in
-	// the required gain, so the cut cannot exclude any optimal solution —
-	// it only lifts the relaxation bound, so the search prunes the
-	// moment an incumbent matching the floor is found. Set by the sweep
-	// pipeline and (through SetAreaFloor) by incremental re-solves.
+	// the area-minimization pass. It only lifts the relaxation bound, so
+	// the search prunes the moment an incumbent matching the floor is
+	// found. Set through SetAreaFloor, by the portfolio's capacity bound
+	// and by incremental re-solves.
 	areaFloor float64
 }
 
@@ -467,60 +457,6 @@ func (in *instance) ipGainCapacity(k int) map[string]int64 {
 	return capacity
 }
 
-// warmVector reconstructs the pass-1 model point of a solved selection
-// over in's variable layout: x per chosen method, z per used IP, and —
-// when merging — the per-group selected indicator and merged interface
-// area. The layout depends only on the DB and the merging mode, never
-// on the required gain, so a vector built from one sweep point is valid
-// input at every other; and a selection meeting a tighter required gain
-// satisfies any looser one, which is what makes sweep warm-starting
-// sound. Returns nil when the selection does not come from this DB.
-func (in *instance) warmVector(sel *Selection) []float64 {
-	idx := map[*imp.IMP]int{}
-	for i, im := range in.db.IMPs {
-		idx[im] = i
-	}
-	nv := len(in.db.IMPs) + len(in.ipIDs)
-	if !in.p.DisableMerging {
-		nv += 2 * len(in.groups)
-	}
-	x := make([]float64, nv)
-	usedIP := map[string]bool{}
-	grpUsed := map[group]bool{}
-	grpMax := map[group]float64{}
-	for _, im := range sel.Chosen {
-		i, ok := idx[im]
-		if !ok {
-			return nil
-		}
-		x[i] = 1
-		usedIP[im.IP.ID] = true
-		g := in.grpOf[i]
-		grpUsed[g] = true
-		if im.IfaceArea > grpMax[g] {
-			grpMax[g] = im.IfaceArea
-		}
-	}
-	at := len(in.db.IMPs)
-	for _, id := range in.ipIDs {
-		if usedIP[id] {
-			x[at] = 1
-		}
-		at++
-	}
-	if !in.p.DisableMerging {
-		for _, g := range in.groups {
-			if grpUsed[g] {
-				x[at] = 1
-			}
-			at++
-			x[at] = grpMax[g]
-			at++
-		}
-	}
-	return x
-}
-
 // areaTerms builds the area expression for the pinning constraint.
 func (in *instance) areaTerms(h handles) []ilp.Term {
 	var terms []ilp.Term
@@ -577,9 +513,6 @@ func solveBound(ctx context.Context, in *instance) (*Selection, error) {
 		return 0
 	}
 	h1 := in.build(ifaceObj, func(a float64) float64 { return a }, 0, 1)
-	if p.warmStart != nil {
-		h1.m.SetWarmStart(p.warmStart)
-	}
 	if p.areaFloor > 0 {
 		h1.m.AddConstraint("area_floor", in.areaTerms(h1), ilp.GE, p.areaFloor-1e-6)
 	}

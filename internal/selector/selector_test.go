@@ -1,9 +1,12 @@
 package selector
 
 import (
+	"context"
 	"math"
+	"sort"
 	"testing"
 
+	"partita/internal/budget"
 	"partita/internal/cdfg"
 	"partita/internal/iface"
 	"partita/internal/ilp"
@@ -188,37 +191,7 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 	rng := newRng(7)
 	conflicted, tied, noMerge, floored := 0, 0, 0, 0
 	for trial := 0; trial < 120; trial++ {
-		nSC := 2 + rng.n(4)
-		nIP := 2 + rng.n(3)
-		ips := make([]*ip.IP, nIP)
-		for i := range ips {
-			ips[i] = mkIP(string(rune('A'+i)), float64(1+rng.n(10)))
-		}
-		funcs := make([]string, nSC)
-		for i := range funcs {
-			funcs[i] = string(rune('a' + i))
-		}
-		var sims []imp.SynthIMP
-		for sc := 1; sc <= nSC; sc++ {
-			k := 1 + rng.n(3)
-			for j := 0; j < k; j++ {
-				sim := imp.SynthIMP{
-					SC:        sc,
-					IP:        ips[rng.n(nIP)],
-					Type:      iface.Type(rng.n(4)),
-					Gain:      int64(10 + rng.n(200)),
-					IfaceArea: float64(rng.n(4)),
-				}
-				// A parallel-code method runs another s-call's software
-				// body, so it excludes every method of that s-call.
-				if trial%2 == 1 && rng.n(3) == 0 {
-					if other := 1 + rng.n(nSC); other != sc {
-						sim.UsesPC, sim.PCOf = true, []int{other}
-					}
-				}
-				sims = append(sims, sim)
-			}
-		}
+		funcs, sims := randomSynth(rng, trial%2 == 1)
 		db, err := imp.NewSyntheticDB(funcs, sims)
 		if err != nil {
 			t.Fatal(err)
@@ -271,6 +244,199 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 		t.Fatalf("only %d instances with conflict pairs, %d with tied minimum areas and %d without merging: the trials exercise too little",
 			conflicted, tied, noMerge)
 	}
+}
+
+// randomSynth draws one random instance of TestSolveAgainstBruteForce:
+// 2-5 s-calls with 1-3 methods each over 2-4 IPs that methods share.
+// With conflicts, about a third of the methods run another s-call's
+// software as parallel code.
+func randomSynth(rng *rng, conflicts bool) (funcs []string, sims []imp.SynthIMP) {
+	nSC := 2 + rng.n(4)
+	nIP := 2 + rng.n(3)
+	ips := make([]*ip.IP, nIP)
+	for i := range ips {
+		ips[i] = mkIP(string(rune('A'+i)), float64(1+rng.n(10)))
+	}
+	funcs = make([]string, nSC)
+	for i := range funcs {
+		funcs[i] = string(rune('a' + i))
+	}
+	for sc := 1; sc <= nSC; sc++ {
+		k := 1 + rng.n(3)
+		for j := 0; j < k; j++ {
+			sim := imp.SynthIMP{
+				SC:        sc,
+				IP:        ips[rng.n(nIP)],
+				Type:      iface.Type(rng.n(4)),
+				Gain:      int64(10 + rng.n(200)),
+				IfaceArea: float64(rng.n(4)),
+			}
+			// A parallel-code method runs another s-call's software
+			// body, so it excludes every method of that s-call.
+			if conflicts && rng.n(3) == 0 {
+				if other := 1 + rng.n(nSC); other != sc {
+					sim.UsesPC, sim.PCOf = true, []int{other}
+				}
+			}
+			sims = append(sims, sim)
+		}
+	}
+	return funcs, sims
+}
+
+// TestAreaFloorsAgainstBruteForce checks by enumeration, on
+// TestSolveAgainstBruteForce's random instances, what the solver's area
+// floors and the sweep pipeline rest on.
+//
+//   - The optimal area never decreases as the requirement rises, and an
+//     infeasible requirement stays infeasible at every higher one. A
+//     sweep pipeline over those requirements, which reuses plateaus and
+//     propagates infeasibility, matches the enumeration at every point.
+//   - After a random edit of IP-area raises, IP-area cuts and IMP-gain
+//     cuts, the previous optimum less FloorShrink's shrink is at most
+//     the edited optimum, and a solve of the edited analysis under that
+//     floor matches the enumeration of the edited instance.
+func TestAreaFloorsAgainstBruteForce(t *testing.T) {
+	ctx := context.Background()
+	rng := newRng(11)
+	var reused, infeasible, floored, lowered int
+	for trial := 0; trial < 120; trial++ {
+		funcs, sims := randomSynth(rng, trial%2 == 1)
+		db, err := imp.NewSyntheticDB(funcs, sims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an := NewAnalysis(db)
+
+		gains := make([]int64, 8)
+		for i := range gains {
+			gains[i] = int64(rng.n(int(an.MaxGain()) + 50))
+		}
+		sort.Slice(gains, func(i, j int) bool { return gains[i] < gains[j] })
+		pl := an.NewPipeline(gains, budget.Budget{}, nil)
+		lastArea := math.Inf(-1)
+		for i, rg := range gains {
+			want, feasible := bruteForce(db, rg, true)
+			if !feasible {
+				want.area = math.Inf(1)
+			}
+			if want.area < lastArea-1e-9 {
+				t.Fatalf("trial %d: optimal area falls from %g to %g as the requirement rises to %d", trial, lastArea, want.area, rg)
+			}
+			lastArea = want.area
+			pt, ok, err := pl.Next(ctx)
+			if !ok || err != nil || pt.Index != i {
+				t.Fatalf("trial %d, rg %d: pipeline point %d ok %t: %v", trial, rg, pt.Index, ok, err)
+			}
+			if pt.Reused {
+				reused++
+			}
+			if !feasible {
+				infeasible++
+				if pt.Sel.Status != ilp.Infeasible {
+					t.Fatalf("trial %d, rg %d: pipeline %v, brute force infeasible", trial, rg, pt.Sel.Status)
+				}
+				continue
+			}
+			if pt.Sel.Status != ilp.Optimal || math.Abs(pt.Sel.Area-want.area) > 1e-6 || pt.Sel.Gain != want.gain {
+				t.Fatalf("trial %d, rg %d (reused %t): pipeline %v area %g gain %d, brute force area %g gain %d",
+					trial, rg, pt.Reused, pt.Sel.Status, pt.Sel.Area, pt.Sel.Gain, want.area, want.gain)
+			}
+		}
+
+		req := int64(50 + rng.n(300))
+		merge := trial%3 != 2
+		prev, feasible := bruteForce(db, req, merge)
+		if !feasible {
+			continue
+		}
+		d, edited := randomEdit(rng, db, sims)
+		shrink, ok := an.FloorShrink(d)
+		if !ok {
+			continue
+		}
+		editedDB, err := imp.NewSyntheticDB(funcs, edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, feasible := bruteForce(editedDB, req, merge)
+		if !feasible {
+			want.area = math.Inf(1)
+		}
+		floor := prev.area - shrink
+		if floor > want.area+1e-9 {
+			t.Fatalf("trial %d: floor %g (optimum %g less shrink %g) above the edited optimum %g, delta %+v",
+				trial, floor, prev.area, shrink, want.area, d)
+		}
+		if want.area < prev.area-1e-9 {
+			lowered++
+		}
+		na, err := an.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Problem{Required: req, DisableMerging: !merge}
+		p.SetAreaFloor(floor)
+		sel, err := na.Solve(ctx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		floored++
+		if !feasible {
+			if sel.Status != ilp.Infeasible {
+				t.Fatalf("trial %d: floored solve %v, brute force infeasible", trial, sel.Status)
+			}
+			continue
+		}
+		if sel.Status != ilp.Optimal || math.Abs(sel.Area-want.area) > 1e-6 || sel.Gain != want.gain {
+			t.Fatalf("trial %d (floor %g, merging %t): solver %v area %g gain %d, brute force area %g gain %d",
+				trial, floor, merge, sel.Status, sel.Area, sel.Gain, want.area, want.gain)
+		}
+	}
+	t.Logf("%d sweep points reused, %d infeasible; %d floored edits, %d of them lowering the optimum",
+		reused, infeasible, floored, lowered)
+	if reused < 200 || infeasible < 100 || floored < 60 || lowered < 20 {
+		t.Fatalf("the trials exercise too little")
+	}
+}
+
+// randomEdit draws a Delta of IP-area raises, IP-area cuts and IMP-gain
+// cuts for db, which was built from sims, and returns it with the
+// edited copy of sims. Synthetic IMP IDs collide when two methods share
+// an s-call, IP and interface type, so gain cuts go only to methods
+// whose ID is unique.
+func randomEdit(rng *rng, db *imp.DB, sims []imp.SynthIMP) (Delta, []imp.SynthIMP) {
+	d := Delta{IPArea: map[string]float64{}, IMPGain: map[string]int64{}}
+	newIP := map[*ip.IP]*ip.IP{}
+	for _, s := range sims {
+		if newIP[s.IP] != nil {
+			continue
+		}
+		cp := *s.IP
+		switch rng.n(4) {
+		case 0:
+			cp.Area += float64(1 + rng.n(5))
+			d.IPArea[cp.ID] = cp.Area
+		case 1:
+			cp.Area = float64(rng.n(int(cp.Area)))
+			d.IPArea[cp.ID] = cp.Area
+		}
+		newIP[s.IP] = &cp
+	}
+	ids := map[string]int{}
+	for _, im := range db.IMPs {
+		ids[im.ID]++
+	}
+	edited := make([]imp.SynthIMP, len(sims))
+	for i, s := range sims {
+		s.IP = newIP[s.IP]
+		if id := db.IMPs[i].ID; ids[id] == 1 && rng.n(4) == 0 {
+			s.Gain = int64(rng.n(int(s.Gain)))
+			d.IMPGain[id] = s.Gain
+		}
+		edited[i] = s
+	}
+	return d, edited
 }
 
 // bruteAnswer is the lexicographic optimum of an exhaustive

@@ -86,10 +86,9 @@ func SweepCtx(ctx context.Context, db *imp.DB, points int, bud budget.Budget) ([
 // observe makes this identical to SweepCtx.
 //
 // This is a thin adapter over the shared-analysis lazy pipeline (see
-// pipeline.go): the program is analyzed once, points whose answer is
-// proven by a looser point complete without solving, and solved points
-// are seeded with the greedy baseline. The returned curve is in
-// required-gain order and deterministic.
+// pipeline.go): the program is analyzed once, and points whose answer
+// is proven by a looser point complete without solving. The returned
+// curve is in required-gain order and deterministic.
 func SweepCtxObserve(ctx context.Context, db *imp.DB, points int, bud budget.Budget, observe func(Incumbent)) ([]SweepPoint, error) {
 	return NewAnalysis(db).SweepPoints(ctx, points, bud, observe)
 }

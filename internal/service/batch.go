@@ -24,9 +24,9 @@ import (
 // batch job whose executor groups points by analyzed program and drives
 // the shared-analysis sweep pipeline (partita.SweepPipeline) over each
 // group: the program is analyzed once, points whose answer is proven by
-// a looser point complete with zero solver work, and solved points are
-// warm-started. Results stream incrementally over the batch's event log
-// (see stream.go).
+// a looser point complete with zero solver work, and only the rest are
+// solved. Results stream incrementally over the batch's event log (see
+// stream.go).
 
 // KindBatch marks the internal job that carries one accepted batch
 // through the worker pool. It is not a submittable kind on /v1/jobs.

@@ -82,9 +82,10 @@ type JobSpec struct {
 	// it without needing the parent's in-memory state.
 	Edits []partita.Delta `json:"edits,omitempty"`
 	// ParentKey is the result key of the job this spec was derived from
-	// by an edit; the solver warm-starts from the parent's cached
-	// selection when it is still available. Part of the content address
-	// (a warm seed can change anytime results under a budget).
+	// by an edit; the parent's cached selection, when still available,
+	// races re-priced as the portfolio's seed candidate. Part of the
+	// content address (a seed candidate can change anytime results under
+	// a budget).
 	ParentKey string `json:"parentKey,omitempty"`
 
 	// inheritDeadline is the remaining budget a forwarded request
@@ -291,9 +292,9 @@ func (s *JobSpec) resultKey() (string, error) {
 			"mode:"+s.Mode,
 			"gap:"+gap,
 			"edits:"+string(edits),
-			// The warm seed a parent provides cannot change a settled
-			// proof, but under a budget the anytime answer it reaches can
-			// differ — so the parent is part of the content address.
+			// The seed candidate a parent provides cannot change a settled
+			// proof, but under a budget the race can settle on it — so the
+			// parent is part of the content address.
 			"parent:"+s.ParentKey,
 		)
 	}

@@ -57,7 +57,7 @@ func TestPortfolioJobMatchesExact(t *testing.T) {
 		t.Error("gap-0 portfolio result not confirmed")
 	}
 	if info.Seeded {
-		t.Error("cold portfolio job reports a warm seed")
+		t.Error("cold portfolio job reports a seed")
 	}
 	// The two jobs must not share a content address: mode is part of it.
 	if pf.Key == exact.Key {
@@ -67,8 +67,8 @@ func TestPortfolioJobMatchesExact(t *testing.T) {
 
 // TestEditEndpointDerivesAndSeeds: POST /v1/jobs/{id}/edits derives a
 // self-contained portfolio job carrying the parent's history plus the
-// new edit, warm-started from the parent's cached result — and its
-// settled answer matches a cold submission of the same edited spec.
+// new edit, seeded with the parent's cached result — and its settled
+// answer matches a cold submission of the same edited spec.
 func TestEditEndpointDerivesAndSeeds(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -110,7 +110,7 @@ func TestEditEndpointDerivesAndSeeds(t *testing.T) {
 		t.Fatalf("derived job missing attribution: %+v", child.View())
 	}
 	if !got.Portfolio.Seeded {
-		t.Error("edit job with a cached parent result was not warm-started")
+		t.Error("edit job with a cached parent result was not seeded")
 	}
 
 	// Cold reference: the same edited spec without the parent link must

@@ -55,7 +55,8 @@ type PortfolioInfo struct {
 	// Confirmed reports that the race settled with a proof agreeing
 	// with the first answer.
 	Confirmed bool `json:"confirmed"`
-	// Seeded reports a warm-started incremental re-solve.
+	// Seeded reports an incremental re-solve whose race had the parent's
+	// selection as its seed candidate.
 	Seeded bool `json:"seeded,omitempty"`
 }
 

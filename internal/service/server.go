@@ -583,10 +583,11 @@ func (s *Server) execute(job *Job) (*JobResult, string, error) {
 }
 
 // executePortfolio runs one portfolio-mode select job: fold the spec's
-// edit history into one delta, reconstruct the warm seed from the
-// parent's cached result when one is named and still available, and
-// race the engines. Correctness never depends on the seed: a missing or
-// stale parent result only costs warm-start pruning.
+// edit history into one delta, rebuild the parent's selection from its
+// cached result when one is named and still available, and race the
+// engines with it as the seed candidate. Correctness never depends on
+// the seed: a missing or stale parent result only loses that
+// candidate.
 func (s *Server) executePortfolio(ctx context.Context, job *Job, design *partita.Design, bud partita.Budget) (*JobResult, string, error) {
 	spec := job.Spec
 	gap := s.cfg.PortfolioGap
@@ -616,8 +617,8 @@ func (s *Server) executePortfolio(ctx context.Context, job *Job, design *partita
 	return &JobResult{Kind: spec.Kind, Selection: NewPortfolioSelectionResult(res)}, Outcome(res.Sel), nil
 }
 
-// parentSeed rebuilds a warm-start selection from the parent job's
-// cached result: its chosen IMP IDs resolved against this design's
+// parentSeed rebuilds the seed candidate's selection from the parent
+// job's cached result: its chosen IMP IDs resolved against this design's
 // database. Returns nil — no seed — when the parent's result is gone
 // from every cache or references methods this design does not have.
 func (s *Server) parentSeed(design *partita.Design, parentKey string) *partita.Selection {
@@ -781,7 +782,8 @@ type EditRequest struct {
 // edits to its spec. The derived spec is self-contained — the parent's
 // full edit history plus the new edits ride along — so it journals,
 // replays, and content-addresses like any other submission; the parent
-// link is only a warm-start hint (and part of the content address).
+// link only supplies the portfolio's seed candidate (and is part of the
+// content address).
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	parent, ok := s.Job(r.PathValue("id"))
 	if !ok {

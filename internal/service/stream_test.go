@@ -396,8 +396,7 @@ func TestBatchProgressEventsCarryIncumbents(t *testing.T) {
 	defer ts.Close()
 
 	// The GSM instance is big enough that the search installs improving
-	// incumbents (the tiny fixture solves straight from the greedy seed,
-	// which by design emits no events).
+	// incumbents.
 	spec := BatchSpec{
 		Defaults: JobSpec{Workload: "gsm"},
 		Points:   []BatchPoint{{RequiredGain: 10000}, {RequiredGain: 14000}},

@@ -337,9 +337,10 @@ type PortfolioOptions struct {
 	// PerPath carries per-execution-path requirements (indexed like
 	// DB.Paths; entries < 0 fall back to the uniform requirement).
 	PerPath []int64
-	// Warm, when non-nil, seeds the LP and exact engines from a
-	// previous selection. Seeds are re-validated against the model and
-	// can only tighten pruning, never change the settled answer.
+	// Warm, when non-nil, is a previous selection that races re-priced
+	// under the problem as the seed engine's candidate; no solver starts
+	// from it, so it cannot change a proven answer. For Reselect it
+	// replaces prev's settled selection.
 	Warm *Selection
 	// Observe, when non-nil, streams the exact engine's anytime
 	// incumbents under the SelectCtxObserve contract.
@@ -378,8 +379,9 @@ type PortfolioResult struct {
 	// with the first answer — the result a caller already acted on was
 	// right.
 	Confirmed bool
-	// Seeded reports that the engines were warm-started from a previous
-	// selection (an incremental re-solve).
+	// Seeded reports that the race was given a previous selection (an
+	// incremental re-solve or Warm), which raced re-priced as the seed
+	// engine's candidate.
 	Seeded bool
 
 	// Chaining state for Reselect: the (possibly Delta-derived)
@@ -431,9 +433,13 @@ func (d *Design) SelectPortfolio(ctx context.Context, requiredGain int64, opt Po
 // Reselect is the incremental re-solve of an interactive design loop:
 // apply delta to the problem prev was solved over (copy-on-write — the
 // shared analysis is never mutated and unchanged per-path coefficient
-// rows are reused by reference) and race the portfolio again, seeded
-// from prev's settled selection. Stale seeds the edit invalidated are
-// dropped automatically, so correctness never depends on the edit being
+// rows are reused by reference) and race the portfolio again. prev's
+// settled selection, re-priced under the edit, races as the seed
+// engine's candidate unless the edit made it infeasible. When prev was
+// proven optimal and the edit neither raises a gain nor loosens a
+// requirement, prev's area less the edit's IP-area cuts is also a
+// proven floor on the new optimum. Every engine solves the edited
+// problem from scratch, so correctness never depends on the edit being
 // small. A nil prev solves the delta-edited base problem cold.
 // Results chain: each Reselect solves over the previous result's
 // derived analysis, so an edit session folds naturally.
@@ -571,8 +577,8 @@ func (d *Design) SweepCtxObserve(ctx context.Context, points int, bud Budget, ob
 
 // SweepStats counts how a sweep pipeline disposed of its points: Solved
 // ran the exact solver, Reused completed with zero solver work (plateau
-// reuse or propagated infeasibility), GreedySeeds counts solved points
-// warm-started from the greedy baseline.
+// reuse or propagated infeasibility). GreedySeeds is deprecated and
+// always reads 0: solved points start cold.
 type SweepStats = selector.PipelineStats
 
 // SweepPipelinePoint is one lazily produced point of a SweepPipeline:
@@ -586,8 +592,8 @@ type SweepPipelinePoint = selector.Point
 // whose answer is proven by an earlier point (the optimal area is
 // non-decreasing in the required gain, so a looser point's selection
 // that already meets a tighter requirement is optimal there too)
-// complete without any search, and solved points are warm-started from
-// the greedy baseline. Sweep and SweepCtx are eager adapters over this
+// complete without any search, and solved points run the same cold
+// solve as SelectCtx. Sweep and SweepCtx are eager adapters over this
 // iterator; the partitad batch API drives one pipeline per submitted
 // program to stream per-point results as they complete. A SweepPipeline
 // is not safe for concurrent use; build one per consumer.

@@ -90,7 +90,7 @@ func TestPortfolioSettlesOnExactSelection(t *testing.T) {
 					}
 					edited[m.IP.ID] = true
 					delta := Delta{IPArea: map[string]float64{m.IP.ID: m.IP.Area * 1.05}, Required: &rg}
-					warm, err := d.Reselect(ctx, base, delta, PortfolioOptions{Gap: 0.05})
+					seeded, err := d.Reselect(ctx, base, delta, PortfolioOptions{Gap: 0.05})
 					if err != nil {
 						t.Fatalf("RG=%d, %s area edit: %v", rg, m.IP.ID, err)
 					}
@@ -98,12 +98,12 @@ func TestPortfolioSettlesOnExactSelection(t *testing.T) {
 					if err != nil {
 						t.Fatalf("RG=%d, %s area edit, cold: %v", rg, m.IP.ID, err)
 					}
-					if !warm.Seeded || cold.Seeded {
-						t.Errorf("RG=%d, %s area edit: seeded warm %v, cold %v; want true, false", rg, m.IP.ID, warm.Seeded, cold.Seeded)
+					if !seeded.Seeded || cold.Seeded {
+						t.Errorf("RG=%d, %s area edit: Seeded %v from prev, %v cold; want true, false", rg, m.IP.ID, seeded.Seeded, cold.Seeded)
 					}
-					if diff := sameAnswer(warm.Sel, cold.Sel); diff != "" {
+					if diff := sameAnswer(seeded.Sel, cold.Sel); diff != "" {
 						t.Errorf("RG=%d, %s area edit: seeded Reselect %s\n  seeded %v area %v gain %d\n  cold   %v area %v gain %d",
-							rg, m.IP.ID, diff, warm.Sel.Status, warm.Sel.Area, warm.Sel.Gain, cold.Sel.Status, cold.Sel.Area, cold.Sel.Gain)
+							rg, m.IP.ID, diff, seeded.Sel.Status, seeded.Sel.Area, seeded.Sel.Gain, cold.Sel.Status, cold.Sel.Area, cold.Sel.Gain)
 					}
 				}
 				edits += len(edited)

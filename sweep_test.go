@@ -10,18 +10,19 @@ import (
 // TestSweepPipelineReusesPlateaus runs a 64-point sweep over the GSM
 // and JPEG encoders through the lazy pipeline and as 64 independent
 // SelectCtx solves. Every point must get the same answer both ways, the
-// pipeline's solved and reused counts are pinned, and the independent
-// solves must search at least 1.5x the pipeline's branch-and-bound
-// nodes.
+// pipeline's solved and reused counts and its branch-and-bound node
+// total are pinned, and the independent solves must search at least
+// 1.5x the pipeline's nodes.
 func TestSweepPipelineReusesPlateaus(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name           string
 		gen            func() (apps.Workload, error)
 		solved, reused int
+		nodes          int
 	}{
-		{"gsm", apps.GSMEncoderWorkload, 17, 47},
-		{"jpeg", apps.JPEGEncoderWorkload, 5, 59},
+		{"gsm", apps.GSMEncoderWorkload, 17, 47, 365},
+		{"jpeg", apps.JPEGEncoderWorkload, 5, 59, 76},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, _ := liveDesign(t, tc.gen)
@@ -51,8 +52,11 @@ func TestSweepPipelineReusesPlateaus(t *testing.T) {
 				independentNodes += ref.Nodes
 			}
 			st := pl.Stats()
-			if st.Solved != tc.solved || st.Reused != tc.reused {
-				t.Errorf("pipeline solved %d and reused %d points, want %d and %d", st.Solved, st.Reused, tc.solved, tc.reused)
+			if want := (SweepStats{Solved: tc.solved, Reused: tc.reused}); st != want {
+				t.Errorf("pipeline stats %+v, want %+v", st, want)
+			}
+			if pipelineNodes != tc.nodes {
+				t.Errorf("pipeline searched %d nodes, want %d", pipelineNodes, tc.nodes)
 			}
 			if float64(independentNodes) < 1.5*float64(pipelineNodes) {
 				t.Errorf("independent solves used %d nodes against the pipeline's %d, want at least 1.5x", independentNodes, pipelineNodes)
