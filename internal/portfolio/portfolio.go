@@ -1,17 +1,17 @@
-// Package portfolio races independent selection engines — the greedy
-// baseline, LP-relaxation + rounding, and the exact branch and bound —
-// over one shared selector.Analysis and delivers the first
-// *acceptable* answer while the exact proof keeps streaming in behind
-// it.
+// Package portfolio races independent selection engines — the
+// covering-knapsack capacity bound's witness, the greedy baseline,
+// LP-relaxation + rounding, and the exact branch and bound — over one
+// shared selector.Analysis and delivers the first *acceptable* answer
+// while the exact proof keeps streaming in behind it.
 //
 // Acceptability is a bound argument, not a hunch: a candidate selection
 // with area A is acceptable once the best proven lower bound L on the
-// optimal area (from the LP relaxation or the exact engine's incumbent
-// stream) satisfies (A − L) / max(1, A) ≤ Config.Gap. A proven result —
-// the exact engine's optimum, or an infeasibility proof from either the
-// LP relaxation or the exact search — is always acceptable and also
-// settles the race: remaining engines are canceled through the shared
-// context the moment a proof lands.
+// optimal area (from the capacity bound, the LP relaxation or the exact
+// engine's incumbent stream) satisfies (A − L) / max(1, A) ≤
+// Config.Gap. A proven result — the exact engine's optimum, or an
+// infeasibility proof from either the LP relaxation or the exact search
+// — is always acceptable and also settles the race: remaining engines
+// are canceled through the shared context the moment a proof lands.
 //
 // Incremental re-solve (Reselect) layers a selector.Delta onto the
 // shared analysis (copy-on-write — unchanged per-path coefficient rows
@@ -57,9 +57,10 @@ const (
 	Seed Engine = "seed"
 	// Capacity is the covering-knapsack bound's witness
 	// (selector.Analysis.CapacityWitness): the IP subset that proves
-	// the instant area floor, instantiated into a selection and offered
-	// at race start. On models where the enriched knapsack is tight it
-	// delivers an optimal-area answer microseconds into a cold race.
+	// the area floor, instantiated into a selection and offered at race
+	// start. Bound and witness take tens of microseconds and a few
+	// kilobytes on the paper's models, so on models where the enriched
+	// knapsack is tight the race is won before any engine has started.
 	Capacity Engine = "capacity"
 )
 
@@ -240,14 +241,16 @@ func Run(ctx context.Context, an *selector.Analysis, p selector.Problem, seed *s
 		st.lower = f
 	}
 	// The IP-level covering-knapsack bound (selector.CapacityWitness) is
-	// a proven area floor computed in microseconds, before any engine
-	// has built a model: the judge holds it from the start, and when it
-	// beats the carried-over floor it also tightens the exact engine's
-	// pass-1 cut. Valid cuts never move the optimum, so the settled
-	// result stays byte-for-byte. The bound's witness selection, when it
-	// re-prices feasible, races as the first candidate — on models where
-	// the knapsack is tight, candidate and floor meet instantly and the
-	// race is won before any model is built.
+	// a proven area floor. Its DP keeps each row as a short step list,
+	// so it runs here, synchronously, in tens of microseconds, before
+	// any engine has built a model: the judge holds it from the start,
+	// and when it beats the carried-over floor it also tightens the
+	// exact engine's pass-1 cut. Valid cuts never move the optimum, so
+	// the settled result stays byte-for-byte. The bound's witness
+	// selection, when it re-prices feasible, races as the first
+	// candidate — on models where the knapsack is tight, candidate and
+	// floor meet instantly and the race is won before any model is
+	// built.
 	qb, qw := an.CapacityWitness(p)
 	if qb > 0 && !math.IsInf(qb, 0) {
 		if qb > st.lower {

@@ -120,11 +120,15 @@ func greedyBound(in *instance) *Selection {
 		sel.Gain += in.totalGain[i]
 		sel.SCallsImplemented += len(m.SC.Sites)
 	}
-	for id := range usedIP {
-		sel.Area += in.ipArea[id]
+	for _, id := range in.ipIDs {
+		if usedIP[id] {
+			sel.Area += in.ipArea[id]
+		}
 	}
-	for g := range usedGrp {
-		sel.Area += in.grpArea[g]
+	for _, g := range in.groups {
+		if usedGrp[g] {
+			sel.Area += in.grpArea[g]
+		}
 	}
 	sel.SInstructions = len(usedGrp)
 	return sel

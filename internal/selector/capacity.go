@@ -2,13 +2,10 @@ package selector
 
 import (
 	"math"
+	"sort"
 
 	"partita/internal/ilp"
 )
-
-// capacityBoundMaxGain caps the covering-knapsack DP table; paths with
-// a larger required gain skip the bound rather than pay the memory.
-const capacityBoundMaxGain = 1 << 20
 
 // CapacityBound is an instant combinatorial lower bound on the optimal
 // area: for each path k it solves, exactly, the IP-level covering
@@ -26,13 +23,13 @@ const capacityBoundMaxGain = 1 << 20
 // induces a feasible z, so each path's knapsack optimum bounds the true
 // optimal area from below, and the best path's bound is returned.
 //
-// The DP is a few hundred thousand integer steps on the paper's models —
-// microseconds, no LP, no search — which is what makes it useful to the
-// racing portfolio: the acceptability judge holds an often-tight proven
-// bound before any engine has solved a relaxation. +Inf means some path
-// cannot reach its requirement at all (the ILP is infeasible); 0 means
-// no path demands gain (or a requirement was too large for the DP table)
-// and the bound is vacuous.
+// Each path's DP keeps its rows as step lists (capacityDP), so it costs
+// microseconds and a few kilobytes whatever the requirement — no LP, no
+// search — which is what makes it useful to the racing portfolio: the
+// acceptability judge holds an often-tight proven bound before any
+// engine has solved a relaxation. +Inf means some path cannot reach its
+// requirement at all (the ILP is infeasible); 0 means no path demands
+// gain and the bound is vacuous.
 func (a *Analysis) CapacityBound(p Problem) float64 {
 	bound, _ := a.CapacityWitness(p)
 	return bound
@@ -56,18 +53,13 @@ func (a *Analysis) CapacityWitness(p Problem) (float64, *Selection) {
 		return 0, nil
 	}
 	in := &instance{Analysis: a, p: p}
-	minIface := map[string]float64{}
-	for _, im := range a.db.IMPs {
-		if prev, ok := minIface[im.IP.ID]; !ok || im.IfaceArea < prev {
-			minIface[im.IP.ID] = im.IfaceArea
-		}
-	}
+	minIface := a.minIfaceAreas()
 	bound := 0.0
 	bindK := -1
 	var bindCap map[string]int64
 	for k := range a.db.Paths {
 		rg := in.required(k)
-		if rg <= 0 || rg > capacityBoundMaxGain {
+		if rg <= 0 {
 			continue
 		}
 		capacity := in.ipGainCapacity(k)
@@ -86,53 +78,111 @@ func (a *Analysis) CapacityWitness(p Problem) (float64, *Selection) {
 	return bound, in.instantiate(bindK, witness)
 }
 
-// capacityDP solves one path's covering knapsack. With a non-nil
-// witness map it keeps per-item DP rows and backtracks the optimal IP
-// subset into it (more memory, same asymptotics).
-func capacityDP(in *instance, capacity map[string]int64, minIface map[string]float64, rg int64, witness map[string]bool) float64 {
-	base := make([]float64, rg+1)
-	for g := int64(1); g <= rg; g++ {
-		base[g] = math.Inf(1)
+// minIfaceAreas maps each IP to its cheapest method's interface area,
+// the least interface charge any selection using the IP pays.
+func (a *Analysis) minIfaceAreas() map[string]float64 {
+	minIface := map[string]float64{}
+	for _, im := range a.db.IMPs {
+		if prev, ok := minIface[im.IP.ID]; !ok || im.IfaceArea < prev {
+			minIface[im.IP.ID] = im.IfaceArea
+		}
 	}
+	return minIface
+}
+
+// capStep is one step of a covering-knapsack row: the least area, over
+// the subsets of the IPs added so far, that reaches gain.
+type capStep struct {
+	gain int64
+	area float64
+}
+
+// capacityDP solves one path's covering knapsack and returns its optimal
+// area, +Inf when rg is out of reach. With a non-nil witness map it also
+// backtracks the optimal IP subset into it.
+//
+// Row i maps each gain g in [0, rg] to the least area of a subset of the
+// first i IPs whose capacities reach g. A row never decreases in g, so
+// it is kept as its steps: (gain, area) pairs with both strictly
+// increasing and gains capped at rg, the row's value at g being the area
+// of the first step whose gain is at least g (stepArea). Adding IP j
+// merges the row with its shift {(min(g+G_jk, rg), a+area_j)} and drops
+// every step that another step hides (Nemhauser and Ullmann, Management
+// Science 15(9), 1969). A row holds at most min(2^i, rg+1) steps; on the
+// paper's three tables none holds more than 19, where a dense table
+// holds rg+1 floats per IP. Each area is the same sum of IP areas,
+// added in ipIDs order, that the dense recurrence dp[g] = min(dp[g],
+// dp[max(g-G_jk, 0)] + area_j) forms, so bound and witness come out
+// bit-identical to it.
+func capacityDP(in *instance, capacity map[string]int64, minIface map[string]float64, rg int64, witness map[string]bool) float64 {
+	row := []capStep{{0, 0}}
 	var items []string
-	var rows [][]float64
-	dp := base
+	var rows [][]capStep
 	for _, id := range in.ipIDs {
 		gj := capacity[id]
 		if gj <= 0 {
 			continue
 		}
 		if witness != nil {
-			rows = append(rows, dp)
+			rows = append(rows, row)
 			items = append(items, id)
-			dp = append([]float64(nil), dp...)
 		}
-		aj := in.ipArea[id] + minIface[id]
-		for g := rg; g >= 1; g-- {
-			rest := g - gj
-			if rest < 0 {
-				rest = 0
-			}
-			if c := dp[rest] + aj; c < dp[g] {
-				dp[g] = c
-			}
-		}
+		row = addItem(row, gj, in.ipArea[id]+minIface[id], rg)
 	}
+	bound := stepArea(row, rg)
 	if witness != nil {
 		g := rg
 		for i := len(items) - 1; i >= 0 && g > 0; i-- {
-			if dp[g] == rows[i][g] {
-				dp = rows[i] // item unused; its predecessor row decides the rest
-				continue
+			// An IP whose row leaves the value at g unchanged is unused;
+			// its predecessor row decides the rest.
+			if stepArea(row, g) != stepArea(rows[i], g) {
+				witness[items[i]] = true
+				if g -= capacity[items[i]]; g < 0 {
+					g = 0
+				}
 			}
-			witness[items[i]] = true
-			if g -= capacity[items[i]]; g < 0 {
-				g = 0
-			}
-			dp = rows[i]
+			row = rows[i]
 		}
 	}
-	return dp[rg]
+	return bound
+}
+
+// addItem returns the row that adding an IP of capacity gj and area aj
+// makes of row: row merged in gain order with its shift by (gj, aj).
+func addItem(row []capStep, gj int64, aj float64, rg int64) []capStep {
+	next := make([]capStep, 0, 2*len(row))
+	i, j := 0, 0
+	for i < len(row) || j < len(row) {
+		var s capStep
+		if j < len(row) {
+			s = capStep{min(row[j].gain+gj, rg), row[j].area + aj}
+		}
+		if j == len(row) || (i < len(row) && row[i].gain <= s.gain) {
+			s = row[i]
+			i++
+		} else {
+			j++
+		}
+		// Drop the steps s hides (no more gain, no less area), then s
+		// itself if the last step kept hides it.
+		for len(next) > 0 && next[len(next)-1].area >= s.area {
+			next = next[:len(next)-1]
+		}
+		if len(next) == 0 || next[len(next)-1].gain < s.gain {
+			next = append(next, s)
+		}
+	}
+	return next
+}
+
+// stepArea is a row's value at gain g: the area of its first step whose
+// gain is at least g, +Inf when no step reaches g.
+func stepArea(row []capStep, g int64) float64 {
+	i := sort.Search(len(row), func(i int) bool { return row[i].gain >= g })
+	if i == len(row) {
+		return math.Inf(1)
+	}
+	return row[i].area
 }
 
 // instantiate turns a witness IP subset into a concrete selection: per

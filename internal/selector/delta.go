@@ -208,9 +208,9 @@ func (a *Analysis) FloorShrink(d Delta) (shrink float64, ok bool) {
 			return 0, false
 		}
 	}
-	for id, area := range d.IPArea {
-		if old, found := a.ipArea[id]; found && area < old {
-			shrink += old - area
+	for _, id := range a.ipIDs {
+		if area, found := d.IPArea[id]; found && area < a.ipArea[id] {
+			shrink += a.ipArea[id] - area
 		}
 	}
 	return shrink, true

@@ -644,8 +644,13 @@ func (in *instance) compose(chosen []int, nodes int) *Selection {
 			groupArea[g] = im.IfaceArea
 		}
 	}
-	for id := range usedIPs {
-		sel.Area += in.ipArea[id]
+	// Sum in the analysis's fixed orders, never map order: float
+	// addition is not associative, and the area must be the same float64
+	// on every run.
+	for _, id := range in.ipIDs {
+		if usedIPs[id] {
+			sel.Area += in.ipArea[id]
+		}
 	}
 	if in.p.DisableMerging {
 		for _, im := range sel.Chosen {
@@ -653,8 +658,10 @@ func (in *instance) compose(chosen []int, nodes int) *Selection {
 		}
 		sel.SInstructions = len(sel.Chosen)
 	} else {
-		for _, a := range groupArea {
-			sel.Area += a
+		for _, g := range in.groups {
+			if a, ok := groupArea[g]; ok {
+				sel.Area += a
+			}
 		}
 		sel.SInstructions = len(groupArea)
 	}

@@ -50,6 +50,53 @@ func TestIPSharingCountedOnce(t *testing.T) {
 	}
 }
 
+// TestAreaSumsInFixedOrder: a selection's area is the same float64 on
+// every solve. Float addition is not associative (0.1+0.2+0.3 and
+// 0.3+0.2+0.1 differ in the last bit), so the IP areas and the merged
+// interface areas must be added in one fixed order, not in map order.
+// The same holds for the greedy baseline's area and for FloorShrink's
+// sum of area cuts.
+func TestAreaSumsInFixedOrder(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		ip, iface [3]float64
+	}{
+		{"IP areas", [3]float64{0.1, 0.2, 0.3}, [3]float64{}},
+		{"interface areas", [3]float64{}, [3]float64{0.1, 0.2, 0.3}},
+	} {
+		var sims []imp.SynthIMP
+		for i, id := range []string{"A", "B", "C"} {
+			sims = append(sims, imp.SynthIMP{SC: i + 1, IP: mkIP(id, c.ip[i]), Type: iface.Type0, Gain: 100, IfaceArea: c.iface[i]})
+		}
+		db, err := imp.NewSyntheticDB([]string{"a", "b", "c"}, sims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an := NewAnalysis(db)
+		cut := Delta{IPArea: map[string]float64{"A": 0, "B": 0, "C": 0}}
+		solved, greedy, shrunk := map[uint64]float64{}, map[uint64]float64{}, map[uint64]float64{}
+		for run := 0; run < 50; run++ {
+			sel, err := an.Solve(context.Background(), Problem{Required: 300})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sel.Status != ilp.Optimal || len(sel.Chosen) != 3 {
+				t.Fatalf("%s: status %v with %d chosen, want Optimal with all 3", c.name, sel.Status, len(sel.Chosen))
+			}
+			solved[math.Float64bits(sel.Area)] = sel.Area
+			g := an.Greedy(Problem{Required: 300})
+			greedy[math.Float64bits(g.Area)] = g.Area
+			s, _ := an.FloorShrink(cut)
+			shrunk[math.Float64bits(s)] = s
+		}
+		for what, seen := range map[string]map[uint64]float64{"solves": solved, "greedy runs": greedy, "FloorShrinks": shrunk} {
+			if len(seen) != 1 {
+				t.Errorf("%s: 50 %s gave %d different sums: %v", c.name, what, len(seen), seen)
+			}
+		}
+	}
+}
+
 func TestMergingDisabledChargesPerMethod(t *testing.T) {
 	shared := mkIP("IPS", 10)
 	db, _ := imp.NewSyntheticDB([]string{"a", "b"}, []imp.SynthIMP{

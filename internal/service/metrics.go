@@ -9,9 +9,11 @@ import (
 )
 
 // solveBuckets are the latency histogram bucket upper bounds in seconds.
-// They span sub-millisecond cache-adjacent solves up to the deadline
-// regime where jobs degrade to anytime incumbents.
-var solveBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
+// They span the tens of microseconds a portfolio race takes to its
+// first answer when the capacity bound's witness wins, sub-millisecond
+// solves, and the deadline regime where jobs degrade to anytime
+// incumbents.
+var solveBuckets = []float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
 // fsyncBuckets are the journal fsync latency buckets in seconds: from
 // page-cache-speed flushes to spinning-rust outliers.
