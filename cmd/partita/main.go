@@ -17,11 +17,12 @@
 // The exact solver is a serial best-first branch and bound with a
 // reproducible node order; see docs/PERFORMANCE.md.
 //
-// -portfolio races the greedy baseline, LP-relaxation + rounding, and
-// the exact solver; the report shows which engine delivered the first
-// acceptable answer (within -portfolio-gap of the proven bound) and
-// which settled the result. With -portfolio-gap 0 the settled answer is
-// the exact optimum, byte for byte.
+// -portfolio races the capacity bound's witness, the greedy baseline
+// and the exact solver, run in that order; the report shows which
+// engine delivered the first acceptable answer (within -portfolio-gap
+// of the proven bound) and which settled the result. With
+// -portfolio-gap 0 the settled answer is the exact optimum, byte for
+// byte.
 //
 // -json replaces the tables with one JSON document using the same
 // result schema as the partitad service, so CLI and service answers
@@ -93,7 +94,7 @@ func main() {
 	rtl := flag.String("rtl", "", "write generated Verilog (interfaces + decoder) to this file")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per selection solve (0 = unlimited)")
 	maxNodes := flag.Int("max-nodes", 0, "branch-and-bound node budget per solve (0 = unlimited)")
-	usePortfolio := flag.Bool("portfolio", false, "race the capacity bound, greedy, LP-rounding, and the exact solver; report per-engine attribution")
+	usePortfolio := flag.Bool("portfolio", false, "race the capacity bound, greedy, and the exact solver, in that order; report per-engine attribution")
 	portfolioGap := flag.Float64("portfolio-gap", 0, "relative area gap at which a portfolio candidate is acceptable (0 = proven only)")
 	jsonOut := flag.Bool("json", false, "emit one JSON document in the partitad service schema instead of tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")

@@ -26,9 +26,9 @@
 // accepted for compatibility and ignored (see docs/SERVICE.md).
 //
 // Select jobs with "mode": "portfolio" race the capacity-bound
-// witness, the greedy baseline, LP-relaxation + rounding, and the
-// exact branch and bound (plus the re-priced previous answer on
-// edits); the result carries per-engine attribution (winner,
+// witness, the re-priced previous answer on edits, the greedy
+// baseline and the exact branch and bound, in that order on the job's
+// worker; the result carries per-engine attribution (winner,
 // first-acceptable gap and latency, exact confirmation). POST
 // /v1/jobs/{id}/edits derives a new portfolio job from a finished
 // select job by applying interactive edits (IP areas, IMP gains,

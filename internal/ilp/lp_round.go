@@ -8,17 +8,16 @@ import (
 )
 
 // ErrNoRounding is returned by SolveLPRound when the root relaxation is
-// fractional and nearest-integer rounding violates a constraint: the
-// cheap engine has no answer for this instance and the caller should
-// fall back to branch and bound.
+// fractional and nearest-integer rounding violates a constraint: there
+// is no answer without branch and bound.
 var ErrNoRounding = errors.New("ilp: LP rounding produced no feasible point")
 
 // BoundError is the concrete error SolveLPRound returns when rounding
 // fails after a successfully solved relaxation: no feasible point, but
 // the relaxation optimum is still a proven bound on the ILP optimum.
 // errors.Is(err, ErrNoRounding) matches it; errors.As extracts the
-// bound so callers (the racing portfolio) can use it to judge other
-// engines' candidates even though this engine produced none.
+// bound, which stays a valid lower bound even though rounding produced
+// no point.
 type BoundError struct {
 	// Bound is the proven relaxation bound, in the model's own sense.
 	Bound float64
@@ -37,10 +36,11 @@ func (e *BoundError) Error() string { return ErrNoRounding.Error() }
 func (e *BoundError) Unwrap() error { return ErrNoRounding }
 
 // SolveLPRound solves only the root LP relaxation and tries to turn it
-// into an integral answer without any branching — the "LP + rounding"
-// portfolio engine. It is the opportunistic-rounding step that
-// branch-and-bound already applies at every node, promoted to a
-// standalone solve:
+// into an integral answer without any branching. It is the
+// opportunistic-rounding step that branch-and-bound already applies at
+// every node, promoted to a standalone solve. The portfolio no longer
+// races it; outside tests it runs only under selector.Analysis.LPRound,
+// which the benchmark times as its root-LP cost:
 //
 //   - an infeasible or unbounded relaxation proves the same status for
 //     the 0-1 program (the relaxation only widens the feasible set);

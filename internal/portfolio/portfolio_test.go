@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"partita/internal/apps"
+	"partita/internal/budget"
 	"partita/internal/iface"
 	"partita/internal/ilp"
 	"partita/internal/imp"
@@ -331,4 +333,67 @@ func TestReselectRejectsBadDelta(t *testing.T) {
 			t.Errorf("delta %d: expected an error", i)
 		}
 	}
+}
+
+// TestPortfolioSettledGapIsSound races the 21 published rows of
+// Tables 1–3 at gap 0.05 under three budgets that stop the exact
+// engine before its proof — an already-canceled context, an expired
+// deadline and a one-node limit — and checks every settled answer
+// against the row's exact optimum: neither the settled gap nor the
+// gap written into the selection may be below the true relative gap
+// (area − optimum) / max(1, area).
+func TestPortfolioSettledGapIsSound(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	budgets := []struct {
+		name string
+		ctx  context.Context
+		bud  budget.Budget
+	}{
+		{"canceled", canceled, budget.Budget{}},
+		{"expired", expired, budget.Budget{}},
+		{"one node", context.Background(), budget.Budget{MaxNodes: 1}},
+	}
+	runs, answered := 0, 0
+	for _, build := range []func() (*imp.DB, []apps.TableRow, error){
+		apps.GSMEncoderTable, apps.GSMDecoderTable, apps.JPEGEncoderTable,
+	} {
+		db, rows, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		an := selector.NewAnalysis(db)
+		for _, row := range rows {
+			ref, err := an.Solve(context.Background(), selector.Problem{Required: row.RG})
+			if err != nil || !ref.Exact() {
+				t.Fatalf("rg=%d: exact solve %v, err %v", row.RG, ref, err)
+			}
+			for _, b := range budgets {
+				runs++
+				res, err := Run(b.ctx, an, selector.Problem{Required: row.RG, Budget: b.bud}, nil, Config{Gap: 0.05})
+				if err != nil {
+					continue
+				}
+				answered++
+				tag := fmt.Sprintf("rg=%d %s: %s answer, area %v", row.RG, b.name, res.Engine, res.Sel.Area)
+				if res.Sel.Status == ilp.Infeasible && res.Sel.Degraded == "" {
+					t.Errorf("%s: settled a proof of infeasibility on a row with optimum %v", tag, ref.Area)
+					continue
+				}
+				truth := relGap(res.Sel.Area, ref.Area)
+				if res.Gap < truth-1e-9 {
+					t.Errorf("%s: settled gap %g below the true gap %g to the optimum %v", tag, res.Gap, truth, ref.Area)
+				}
+				if res.Sel.Status == ilp.Feasible && !math.IsInf(res.Gap, 0) && res.Sel.Gap != res.Gap {
+					t.Errorf("%s: selection gap %g, settled gap %g", tag, res.Sel.Gap, res.Gap)
+				}
+			}
+		}
+	}
+	if answered == 0 {
+		t.Fatal("no run settled with an answer")
+	}
+	t.Logf("%d of %d runs settled with an answer", answered, runs)
 }

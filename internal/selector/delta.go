@@ -273,20 +273,20 @@ func (a *Analysis) Evaluate(p Problem, sel *Selection) *Selection {
 	return out
 }
 
-// LPRound is the LP-relaxation + rounding engine over the shared
-// analysis: one simplex solve of the area pass, snapped to the nearest
-// integers (ilp.SolveLPRound). It returns the selection together with
-// the LP lower bound on the optimal area — the bound other portfolio
-// candidates are judged against before the exact engine reports one.
+// LPRound is LP relaxation + rounding over the shared analysis: one
+// simplex solve of the area pass, snapped to the nearest integers
+// (ilp.SolveLPRound). It returns the selection together with the LP
+// lower bound on the optimal area. The racing portfolio no longer runs
+// it (the exact engine's bound stream carries the same bound); the
+// benchmark times it as its root-LP cost.
 //
 // Outcomes: an infeasible relaxation proves the instance Infeasible
 // (bound +Inf, vacuous); a rounded point comes back Feasible with its
 // area gap versus the LP bound (the area may in fact be optimal, but
 // the lexicographic tie-break pass never ran, so the result is never
 // labeled Optimal); when neither rounding nor repairLP finds a point,
-// the engine has no answer and the error wraps ilp.ErrNoRounding — but
-// the returned bound is still the proven LP bound, so the caller can
-// judge other engines' candidates against it. Every returned selection
+// there is no answer and the error wraps ilp.ErrNoRounding — but the
+// returned bound is still the proven LP bound. Every returned selection
 // carries the one cold LP with its pivots and bound flips in Search.
 // The seed argument is ignored; it stays so existing callers compile.
 func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Selection, float64, error) {
@@ -355,7 +355,8 @@ func relAreaGap(area, bound float64) float64 {
 // optimum concentrates weight on the methods cheap shared-area covers
 // are made of, the repaired area usually lands within a few percent of
 // the LP bound. Returns nil when even the full candidate set cannot
-// meet the requirements (the caller keeps the bound regardless).
+// meet the requirements (the caller keeps the bound regardless). Its
+// one caller is LPRound, which the portfolio no longer races.
 func (in *instance) repairLP(h handles, xfrac []float64) *Selection {
 	db := in.db
 	need := make([]int64, len(db.Paths))

@@ -851,8 +851,8 @@ func (s *Server) runBatchGroup(ctx context.Context, job *Job, spec JobSpec, idxs
 	}
 }
 
-// jobTimeout resolves one point's solve deadline under the server's
-// default and cap — the same clamping execute applies to single jobs.
+// jobTimeout resolves a job's or one batch point's solve deadline under
+// the server's default and cap.
 func (s *Server) jobTimeout(spec JobSpec) time.Duration {
 	timeout := s.cfg.DefaultTimeout
 	if spec.TimeoutMs > 0 {

@@ -66,8 +66,8 @@ type JobSpec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// Mode selects the solver strategy of a select job: "" runs the
 	// exact solver alone, ModePortfolio races the capacity-bound
-	// witness, greedy, LP-rounding, and the exact solver (plus the
-	// seeded previous answer on edits), surfacing the first acceptable
+	// witness, the seeded previous answer on edits, greedy, and the
+	// exact solver, in that order, surfacing the first acceptable
 	// answer and per-engine attribution on the result.
 	Mode string `json:"mode,omitempty"`
 	// Gap is the portfolio acceptability threshold (relative area gap);

@@ -53,7 +53,7 @@ type Metrics struct {
 
 	// Portfolio-mode counters: race wins by engine, and the
 	// time-to-first-acceptable histogram.
-	portfolioWins    map[string]uint64 // by engine: seed|capacity|greedy|lpround|exact
+	portfolioWins    map[string]uint64 // by engine: capacity|seed|greedy|exact
 	portfolioBucketN []uint64
 	portfolioSum     float64
 	portfolioN       uint64

@@ -37,8 +37,8 @@ type SelectionResult struct {
 // won the race to the first acceptable answer, who produced the settled
 // result, and whether the exact proof confirmed the fast answer.
 type PortfolioInfo struct {
-	// Engine produced the settled selection (seed, capacity, greedy,
-	// lpround, exact).
+	// Engine produced the settled selection (capacity, seed, greedy,
+	// exact).
 	Engine string `json:"engine"`
 	// Gap is the settled proven relative area gap (0 when proven, -1
 	// when no finite bound is known).

@@ -524,13 +524,7 @@ func (s *Server) execute(job *Job) (*JobResult, string, error) {
 
 	ctx, stop := withDrain(context.Background(), s.drain)
 	defer stop()
-	timeout := s.cfg.DefaultTimeout
-	if spec.TimeoutMs > 0 {
-		timeout = time.Duration(spec.TimeoutMs) * time.Millisecond
-	}
-	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
-		timeout = s.cfg.MaxTimeout
-	}
+	timeout := s.jobTimeout(spec)
 	if d := spec.inheritDeadline; d > 0 && (timeout <= 0 || d < timeout) {
 		timeout = d
 		job.deadlineClamped = true

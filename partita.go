@@ -305,15 +305,17 @@ type Delta = selector.Delta
 // PortfolioEngine names one engine of the racing solver portfolio.
 type PortfolioEngine = portfolio.Engine
 
-// Portfolio engines, in cost order.
+// Portfolio engines. A race also reports the "capacity" and "seed"
+// engines (see SelectPortfolio).
 const (
 	// EngineGreedy is the gain/area-ratio baseline: microseconds, no
 	// proof, no bound.
 	EngineGreedy = portfolio.Greedy
-	// EngineLPRound solves one LP relaxation and rounds to a feasible
-	// point: milliseconds, carries the LP lower bound, proves
-	// infeasibility.
-	EngineLPRound = portfolio.LPRound
+	// EngineLPRound named an engine that rounded one LP relaxation.
+	//
+	// Deprecated: the portfolio no longer runs it (the exact engine's
+	// bound stream carries the same bound), so no result reports it.
+	EngineLPRound PortfolioEngine = "lpround"
 	// EngineExact is the branch and bound — the only engine
 	// that proves optimality.
 	EngineExact = portfolio.Exact
@@ -339,16 +341,17 @@ type PortfolioOptions struct {
 	PerPath []int64
 	// Warm, when non-nil, is a previous selection that races re-priced
 	// under the problem as the seed engine's candidate; no solver starts
-	// from it, so it cannot change a proven answer. For Reselect it
-	// replaces prev's settled selection.
+	// from it and no bound is taken from it, so it cannot change a
+	// proven answer. For Reselect it replaces prev's settled selection
+	// as the seed, and prev's optimum then gives no floor.
 	Warm *Selection
 	// Observe, when non-nil, streams the exact engine's anytime
 	// incumbents under the SelectCtxObserve contract.
 	Observe func(Incumbent)
-	// OnFirst, when non-nil, is invoked exactly once — synchronously,
-	// from the engine goroutine that crossed the threshold — when the
-	// first acceptable answer lands. The race continues behind it until
-	// the exact proof settles or the budget runs out.
+	// OnFirst, when non-nil, is invoked exactly once, synchronously on
+	// the calling goroutine, when the first acceptable answer lands. The
+	// exact solve continues after it returns, until its proof settles
+	// the race or the budget runs out.
 	OnFirst func(PortfolioAnswer)
 }
 
@@ -409,14 +412,15 @@ func wrapPortfolio(r *portfolio.Result, an *selector.Analysis, p selector.Proble
 	}
 }
 
-// SelectPortfolio races the greedy baseline, LP-relaxation + rounding,
-// and the exact branch and bound over the Design's shared
-// analysis, delivering the first *acceptable* answer (feasible, with a
+// SelectPortfolio races the selection engines over the Design's shared
+// analysis, in order on the calling goroutine: the covering-knapsack
+// capacity bound and its witness ("capacity"), opt.Warm re-priced
+// ("seed", when set), the greedy baseline, then the exact branch and
+// bound. It delivers the first *acceptable* answer (feasible, with a
 // proven relative area gap ≤ opt.Gap) through opt.OnFirst while the
-// exact proof keeps running behind it. A proof — the exact optimum or
-// an infeasibility proof from either the LP relaxation or the exact
-// search — settles the race and cancels the remaining engines. With
-// Gap 0 the settled result is identical to SelectCtx's.
+// exact search keeps running behind it; the exact engine's proof — its
+// optimum or an infeasibility proof — settles the race. With Gap 0 the
+// settled result is identical to SelectCtx's.
 func (d *Design) SelectPortfolio(ctx context.Context, requiredGain int64, opt PortfolioOptions) (res *PortfolioResult, err error) {
 	defer guard(&err)
 	an := d.selAnalysis()
@@ -436,12 +440,13 @@ func (d *Design) SelectPortfolio(ctx context.Context, requiredGain int64, opt Po
 // rows are reused by reference) and race the portfolio again. prev's
 // settled selection, re-priced under the edit, races as the seed
 // engine's candidate unless the edit made it infeasible. When prev was
-// proven optimal and the edit neither raises a gain nor loosens a
-// requirement, prev's area less the edit's IP-area cuts is also a
-// proven floor on the new optimum. Every engine solves the edited
-// problem from scratch, so correctness never depends on the edit being
-// small. A nil prev solves the delta-edited base problem cold.
-// Results chain: each Reselect solves over the previous result's
+// proven optimal for its own requirement, neither opt.Warm nor
+// opt.PerPath replaces it, and the edit neither raises a gain nor
+// loosens a requirement, prev's area less the edit's IP-area cuts is
+// also a proven floor on the new optimum. Every engine solves the
+// edited problem from scratch, so correctness never depends on the
+// edit being small. A nil prev solves the delta-edited base problem
+// cold. Results chain: each Reselect solves over the previous result's
 // derived analysis, so an edit session folds naturally.
 func (d *Design) Reselect(ctx context.Context, prev *PortfolioResult, delta Delta, opt PortfolioOptions) (res *PortfolioResult, err error) {
 	defer guard(&err)
@@ -460,6 +465,16 @@ func (d *Design) Reselect(ctx context.Context, prev *PortfolioResult, delta Delt
 	}
 	if opt.Warm != nil {
 		seed = opt.Warm
+	}
+	// portfolio.Reselect takes an Optimal seed as the proven optimum of
+	// p over an. That holds only for prev's own settled selection under
+	// prev's own analysis and requirement; anything else races as a
+	// seed candidate only.
+	ownOptimum := prev != nil && prev.an != nil && opt.Warm == nil && opt.PerPath == nil
+	if seed != nil && seed.Status == Optimal && !ownOptimum {
+		cp := *seed
+		cp.Status = Feasible
+		seed = &cp
 	}
 	r, na, err := portfolio.Reselect(ctx, an, seed, delta, p, portfolio.Config{
 		Gap: opt.Gap, OnIncumbent: opt.Observe, OnFirst: opt.OnFirst,

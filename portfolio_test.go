@@ -115,3 +115,65 @@ func TestPortfolioSettlesOnExactSelection(t *testing.T) {
 		})
 	}
 }
+
+// TestReselectFloorsOnlyFromOwnOptimum: Reselect may carry a proven
+// optimum over as an area floor only from prev's own solve, under
+// prev's own requirement. On the live GSM encoder, a Warm selection
+// proven at 50% of reachable gain and a 50% parent re-solved with
+// every path's requirement overridden to 10% must both settle on the
+// 10% optimum that SelectCtx and SelectPerPathCtx prove, not at the
+// 50% optimum's area.
+func TestReselectFloorsOnlyFromOwnOptimum(t *testing.T) {
+	ctx := context.Background()
+	d, _ := liveDesign(t, apps.GSMEncoderWorkload)
+	max := d.MaxReachableGain()
+	rg10, rg50 := max*10/100, max*50/100
+	warm, err := d.SelectCtx(ctx, rg50, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := d.SelectPortfolio(ctx, rg50, PortfolioOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPath := make([]int64, len(d.DB.Paths))
+	for k := range perPath {
+		perPath[k] = rg10
+	}
+	ref, err := d.SelectCtx(ctx, rg10, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refPerPath, err := d.SelectPerPathCtx(ctx, rg50, perPath, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.Exact() || !parent.Sel.Exact() || warm.Area <= ref.Area {
+		t.Fatalf("the 50%% optimum (area %v, %v) must be proven and above the 10%% one (%v) for this test to mean anything",
+			warm.Area, warm.Status, ref.Area)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (*PortfolioResult, error)
+		ref  *Selection
+	}{
+		{"warm", func() (*PortfolioResult, error) {
+			return d.Reselect(ctx, nil, Delta{Required: &rg10}, PortfolioOptions{Warm: warm})
+		}, ref},
+		{"per-path override", func() (*PortfolioResult, error) {
+			return d.Reselect(ctx, parent, Delta{}, PortfolioOptions{PerPath: perPath})
+		}, refPerPath},
+	} {
+		res, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !res.Seeded {
+			t.Errorf("%s: race not marked Seeded", tc.name)
+		}
+		if diff := sameAnswer(res.Sel, tc.ref); diff != "" {
+			t.Errorf("%s: Reselect %s\n  reselect %v area %v gain %d\n  exact    %v area %v gain %d",
+				tc.name, diff, res.Sel.Status, res.Sel.Area, res.Sel.Gain, tc.ref.Status, tc.ref.Area, tc.ref.Gain)
+		}
+	}
+}
