@@ -309,7 +309,7 @@ func cloneTableau(t *tableau) *tableau {
 	c.ub = append([]float64(nil), t.ub...)
 	c.flip = append([]bool(nil), t.flip...)
 	c.nz = append([]uint64(nil), t.nz...)
-	c.cols, c.rows, c.mask = nil, nil, nil
+	c.cols, c.rows, c.mask, c.neg = nil, nil, nil, nil
 	return &c
 }
 

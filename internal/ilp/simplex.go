@@ -75,6 +75,12 @@ type tableau struct {
 	// bitset.
 	cols, rows []int
 	mask       []uint64
+	// neg is iterate's priced-column set: a bit per priced column whose
+	// reduced cost is below -costEps. A pivot changes reduced costs only
+	// in the pivot row's nonzero columns, and a bound flip or a zeroed
+	// free-variable part only in its own column, so iterate rebuilds the
+	// set once per call and then updates just those columns.
+	neg []uint64
 }
 
 // lpResult is the outcome of one relaxation solve in model-variable space.
@@ -686,15 +692,36 @@ func (t *tableau) mark(i, j int) {
 // unbounded. When allowArt is false, artificial columns may not enter
 // the basis: pricing stops before them. Pricing uses Dantzig's rule
 // (most negative reduced cost) for speed, falling back to Bland's rule
-// after a burn-in to guarantee termination on degenerate instances. An iteration is a pivot or a
-// bound flip. The limits bound the iteration count and carry the
-// wall-clock budget; exhausting either aborts with a typed error.
+// after a burn-in to guarantee termination on degenerate instances.
+// Both walk only the priced-column set, in ascending column order, so
+// Dantzig's ties still go to the lowest index and Bland's rule takes
+// the set's lowest column. An iteration is a pivot or a bound flip. The
+// limits bound the iteration count and carry the wall-clock budget;
+// exhausting either aborts with a typed error.
 func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 	const blandAfter = 2000
 	maxIter := lim.iterCap()
 	priced := t.d[k]
 	if !allowArt {
 		priced = priced[:t.art]
+	}
+	neg := take(t.neg, (len(priced)+63)>>6)
+	t.neg = neg
+	for j, dj := range priced {
+		if dj < -costEps {
+			neg[j>>6] |= 1 << (j & 63)
+		}
+	}
+	// reprice brings column j's bit up to date with its reduced cost.
+	reprice := func(j int) {
+		if j >= len(priced) {
+			return
+		}
+		if priced[j] < -costEps {
+			neg[j>>6] |= 1 << (j & 63)
+		} else {
+			neg[j>>6] &^= 1 << (j & 63)
+		}
 	}
 	for iter := 0; iter < maxIter; iter++ {
 		if iter&0xff == 0xff {
@@ -708,16 +735,19 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 		enter := -1
 		if iter < blandAfter {
 			best := -costEps
-			for j, dj := range priced {
-				if dj < best {
-					best = dj
-					enter = j
+			for w, word := range neg {
+				for ; word != 0; word &= word - 1 {
+					j := w<<6 | bits.TrailingZeros64(word)
+					if priced[j] < best {
+						best = priced[j]
+						enter = j
+					}
 				}
 			}
 		} else {
-			for j, dj := range priced {
-				if dj < -costEps {
-					enter = j
+			for w, word := range neg {
+				if word != 0 {
+					enter = w<<6 | bits.TrailingZeros64(word)
 					break
 				}
 			}
@@ -764,6 +794,7 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 			// The entering column reaches its own bound first, or ties:
 			// flip it there, no pivot needed.
 			t.flipColumn(enter, rows)
+			reprice(enter)
 			continue
 		}
 		if leave < 0 {
@@ -772,6 +803,7 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 				// The exact reduced cost is zero; what priced the column
 				// in was rounding.
 				t.d[0][enter], t.d[1][enter] = 0, 0
+				reprice(enter)
 				continue
 			}
 			return Unbounded, nil
@@ -780,6 +812,9 @@ func (t *tableau) iterate(k int, allowArt bool, lim limits) (Status, error) {
 			t.complementRow(leave)
 		}
 		t.pivot(leave, enter, rows)
+		for _, j := range t.cols {
+			reprice(j)
+		}
 	}
 	// Iteration cap exceeded. Surface it as a budget error rather than
 	// silently returning a non-optimal basis; branch and bound converts

@@ -18,6 +18,7 @@ package imp
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"partita/internal/cdfg"
 	"partita/internal/cprog"
@@ -50,7 +51,7 @@ type SCall struct {
 }
 
 // Name returns the paper-style label ("SC3").
-func (s *SCall) Name() string { return fmt.Sprintf("SC%d", s.Index) }
+func (s *SCall) Name() string { return "SC" + strconv.Itoa(s.Index) }
 
 // IMP is one implementation method for an s-call.
 type IMP struct {

@@ -48,7 +48,7 @@ func greedyBound(in *instance) *Selection {
 
 	chosen := map[*imp.SCall]int{}
 	usedIP := map[string]bool{}
-	usedGrp := map[group]bool{}
+	usedGrp := map[int]bool{}
 
 	pathGain := make([]int64, len(db.Paths))
 	met := func() bool {
@@ -84,7 +84,7 @@ func greedyBound(in *instance) *Selection {
 			if !usedIP[m.IP.ID] {
 				da += in.ipArea[m.IP.ID]
 			}
-			g := in.grpOf[i]
+			g := in.grp[i]
 			if !usedGrp[g] {
 				da += in.grpArea[g]
 			}
@@ -102,7 +102,7 @@ func greedyBound(in *instance) *Selection {
 		m := db.IMPs[bestIdx]
 		chosen[m.SC] = bestIdx
 		usedIP[m.IP.ID] = true
-		usedGrp[in.grpOf[bestIdx]] = true
+		usedGrp[in.grp[bestIdx]] = true
 		for k := range db.Paths {
 			pathGain[k] += in.pathCoef(k, bestIdx)
 		}
@@ -125,7 +125,7 @@ func greedyBound(in *instance) *Selection {
 			sel.Area += in.ipArea[id]
 		}
 	}
-	for _, g := range in.groups {
+	for g := range in.groups {
 		if usedGrp[g] {
 			sel.Area += in.grpArea[g]
 		}

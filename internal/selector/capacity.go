@@ -78,6 +78,20 @@ func (a *Analysis) CapacityWitness(p Problem) (float64, *Selection) {
 	return bound, in.instantiate(bindK, witness)
 }
 
+// ipGainCapacity is pathCapacity keyed by IP ID, holding only the IPs
+// that can contribute to path k.
+func (in *instance) ipGainCapacity(k int) map[string]int64 {
+	dense := make([]int64, len(in.ipIDs))
+	in.pathCapacity(k, dense)
+	capacity := make(map[string]int64, len(dense))
+	for j, g := range dense {
+		if g > 0 {
+			capacity[in.ipIDs[j]] = g
+		}
+	}
+	return capacity
+}
+
 // minIfaceAreas maps each IP to its cheapest method's interface area,
 // the least interface charge any selection using the IP pays.
 func (a *Analysis) minIfaceAreas() map[string]float64 {
@@ -192,21 +206,27 @@ func stepArea(row []capStep, g int64) float64 {
 // every path's requirement, nil otherwise.
 func (in *instance) instantiate(k int, witness map[string]bool) *Selection {
 	db := in.db
-	bestFor := map[string]int{}
+	// bestFor[s] is s-call s's best method, -1 while it has none.
+	bestFor := make([]int, len(db.SCalls))
+	for s := range bestFor {
+		bestFor[s] = -1
+	}
 	for i, im := range db.IMPs {
 		if !witness[im.IP.ID] || in.pathCoef(k, i) <= 0 {
 			continue
 		}
-		sc := im.SC.Name()
-		j, ok := bestFor[sc]
-		if !ok || in.pathCoef(k, i) > in.pathCoef(k, j) ||
+		s := in.scOf[i]
+		j := bestFor[s]
+		if j < 0 || in.pathCoef(k, i) > in.pathCoef(k, j) ||
 			(in.pathCoef(k, i) == in.pathCoef(k, j) && im.IfaceArea < db.IMPs[j].IfaceArea) {
-			bestFor[sc] = i
+			bestFor[s] = i
 		}
 	}
-	picked := make(map[int]bool, len(bestFor))
+	picked := make([]bool, len(db.IMPs))
 	for _, i := range bestFor {
-		picked[i] = true
+		if i >= 0 {
+			picked[i] = true
+		}
 	}
 	for _, c := range db.Conflicts {
 		if picked[c[0]] && picked[c[1]] {
@@ -214,7 +234,7 @@ func (in *instance) instantiate(k int, witness map[string]bool) *Selection {
 			if in.pathCoef(k, c[0]) > in.pathCoef(k, c[1]) {
 				drop = c[1]
 			}
-			delete(picked, drop)
+			picked[drop] = false
 		}
 	}
 	var chosen []int

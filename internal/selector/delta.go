@@ -141,18 +141,7 @@ func (a *Analysis) Apply(d Delta) (*Analysis, error) {
 			coef[k] = row
 		}
 		na.coef = coef
-		// MaxReachableGain over the edited gains: best method per s-call,
-		// summed.
-		best := map[*imp.SCall]int64{}
-		for i, im := range a.db.IMPs {
-			if tot[i] > best[im.SC] {
-				best[im.SC] = tot[i]
-			}
-		}
-		na.maxGain = 0
-		for _, g := range best {
-			na.maxGain += g
-		}
+		na.maxGain = a.maxGainOf(tot)
 	}
 	return &na, nil
 }

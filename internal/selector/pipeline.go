@@ -48,12 +48,21 @@ import (
 // sweep points (select many); nothing in it is mutated after
 // NewAnalysis returns.
 type Analysis struct {
-	db      *imp.DB
+	db *imp.DB
+	// groups are the implementation groups in groupLess order; grpArea
+	// is each one's largest member interface area.
 	groups  []group
-	grpOf   []group // per IMP
-	grpArea map[group]float64
+	grpArea []float64
 	ipIDs   []string
 	ipArea  map[string]float64
+	// ipOf, scOf and grp index each IMP's IP in ipIDs, its s-call in
+	// DB.SCalls (every DB lists the s-call of each of its methods) and
+	// its group in groups, so a model is built from index arrays rather
+	// than string keys.
+	ipOf, scOf, grp []int
+	// ipSC lists the methods of every (IP, s-call) pair that has any,
+	// pairs in ipIDs then s-call order, methods in IMP order.
+	ipSC [][]int
 	// coef[k][m] is the gain coefficient of IMP m on path k: the
 	// site-frequency-weighted gain the method contributes to that path.
 	coef [][]int64
@@ -73,7 +82,7 @@ type Analysis struct {
 // NewAnalysis precomputes the shared artifact for db. The db must not
 // be mutated afterwards (the same contract Design documents).
 func NewAnalysis(db *imp.DB) *Analysis {
-	a := &Analysis{db: db, grpArea: map[group]float64{}, ipArea: map[string]float64{}}
+	a := &Analysis{db: db, ipArea: map[string]float64{}}
 	siteOn := make([]map[*cdfg.Node]bool, len(db.Paths))
 	for k, calls := range db.Paths {
 		siteOn[k] = map[*cdfg.Node]bool{}
@@ -81,27 +90,45 @@ func NewAnalysis(db *imp.DB) *Analysis {
 			siteOn[k][c] = true
 		}
 	}
-	seenG := map[group]bool{}
-	seenIP := map[string]bool{}
-	a.grpOf = make([]group, len(db.IMPs))
-	for i, im := range db.IMPs {
+	// grpAt and ipAt end up mapping each group and IP to its index in
+	// the sorted groups and ipIDs.
+	grpAt := map[group]int{}
+	for _, im := range db.IMPs {
 		g := group{im.IP.ID, im.Cand.Type, im.Flattened}
-		a.grpOf[i] = g
-		if !seenG[g] {
-			seenG[g] = true
+		if _, ok := grpAt[g]; !ok {
+			grpAt[g] = len(a.groups)
 			a.groups = append(a.groups, g)
 		}
-		if im.IfaceArea > a.grpArea[g] {
-			a.grpArea[g] = im.IfaceArea
-		}
-		if !seenIP[im.IP.ID] {
-			seenIP[im.IP.ID] = true
+		if _, ok := a.ipArea[im.IP.ID]; !ok {
 			a.ipIDs = append(a.ipIDs, im.IP.ID)
 			a.ipArea[im.IP.ID] = im.IP.Area
 		}
 	}
 	sort.Slice(a.groups, func(x, y int) bool { return groupLess(a.groups[x], a.groups[y]) })
 	sort.Strings(a.ipIDs)
+	for gi, g := range a.groups {
+		grpAt[g] = gi
+	}
+	ipAt := make(map[string]int, len(a.ipIDs))
+	for j, id := range a.ipIDs {
+		ipAt[id] = j
+	}
+	scAt := make(map[*imp.SCall]int, len(db.SCalls))
+	for s, sc := range db.SCalls {
+		scAt[sc] = s
+	}
+	n := len(db.IMPs)
+	idx := make([]int, 3*n)
+	a.ipOf, a.scOf, a.grp = idx[:n:n], idx[n:2*n:2*n], idx[2*n:]
+	a.grpArea = make([]float64, len(a.groups))
+	for i, im := range db.IMPs {
+		g := grpAt[group{im.IP.ID, im.Cand.Type, im.Flattened}]
+		a.ipOf[i], a.scOf[i], a.grp[i] = ipAt[im.IP.ID], scAt[im.SC], g
+		if im.IfaceArea > a.grpArea[g] {
+			a.grpArea[g] = im.IfaceArea
+		}
+	}
+	a.ipSC = pairRuns(a.ipOf, a.scOf, len(a.ipIDs), len(db.SCalls))
 	a.gainPerExec = make([]int64, len(db.IMPs))
 	a.totalGain = make([]int64, len(db.IMPs))
 	for i, im := range db.IMPs {
@@ -124,8 +151,56 @@ func NewAnalysis(db *imp.DB) *Analysis {
 			a.coef[k][m] = f * im.GainPerExec
 		}
 	}
-	a.maxGain = MaxReachableGain(db)
+	a.maxGain = a.maxGainOf(a.totalGain)
 	return a
+}
+
+// pairRuns lists the methods of every (IP, s-call) pair that has any,
+// pairs in IP then s-call order, methods in IMP order: a counting sort
+// of the methods by pair.
+func pairRuns(ipOf, scOf []int, nIP, nSC int) [][]int {
+	end := make([]int, nIP*nSC+1)
+	for i := range ipOf {
+		end[ipOf[i]*nSC+scOf[i]+1]++
+	}
+	pairs := 0
+	for p := 1; p < len(end); p++ {
+		if end[p] > 0 {
+			pairs++
+		}
+		end[p] += end[p-1]
+	}
+	// end[p] starts as pair p's first slot and ends one past its last.
+	end = end[:nIP*nSC]
+	byPair := make([]int, len(ipOf))
+	for i := range ipOf {
+		p := ipOf[i]*nSC + scOf[i]
+		byPair[end[p]] = i
+		end[p]++
+	}
+	runs := make([][]int, 0, pairs)
+	lo := 0
+	for _, hi := range end {
+		if hi > lo {
+			runs = append(runs, byPair[lo:hi:hi])
+		}
+		lo = hi
+	}
+	return runs
+}
+
+// maxGainOf is MaxReachableGain over the methods' total gains tot: the
+// best total gain of every s-call, summed.
+func (a *Analysis) maxGainOf(tot []int64) int64 {
+	best := make([]int64, len(a.db.SCalls))
+	for i, g := range tot {
+		best[a.scOf[i]] = max(best[a.scOf[i]], g)
+	}
+	var total int64
+	for _, g := range best {
+		total += g
+	}
+	return total
 }
 
 // DB returns the analyzed database.

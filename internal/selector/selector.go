@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"partita/internal/budget"
@@ -194,40 +195,46 @@ func (in *instance) required(k int) int64 {
 	return in.p.Required
 }
 
-// handles are the model variables of one build.
+// handles are the model variables of one build: xs per IMP, zs per IP
+// in ipIDs order and, unless merging is disabled, ys and as per group in
+// groups order. ys are binary group-selected indicators (S-instruction
+// count); as are continuous group interface areas (max over selected
+// members).
 type handles struct {
-	m  *ilp.Model
-	xs []ilp.VarID
-	zs map[string]ilp.VarID
-	// ys are binary group-selected indicators (S-instruction count);
-	// as are continuous group interface areas (max over selected
-	// members).
-	ys map[group]ilp.VarID
-	as map[group]ilp.VarID
+	m              *ilp.Model
+	xs, zs, ys, as []ilp.VarID
 }
 
 // build assembles constraints (1)-(4); objective coefficients are set by
 // the caller: objX per method, objZ per unit of IP area, objYCount per
 // selected group (tiebreak weight), objGArea per unit of merged
-// interface area.
+// interface area. Each row family shares one name, and every row is
+// written from the analysis's index arrays, so a build formats no
+// string and keys no map.
 func (in *instance) build(objX func(i int) float64, objZ func(area float64) float64, objYCount, objGArea float64) handles {
 	db := in.db
-	m := ilp.NewModel(ilp.Minimize)
-	h := handles{m: m, zs: map[string]ilp.VarID{}, ys: map[group]ilp.VarID{}, as: map[group]ilp.VarID{}}
-	h.xs = make([]ilp.VarID, len(db.IMPs))
-	for i, im := range db.IMPs {
-		h.xs[i] = m.AddBinary("x_"+im.ID, objX(i))
+	nx, nz, ng := len(db.IMPs), len(in.ipIDs), len(in.groups)
+	if in.p.DisableMerging {
+		ng = 0
 	}
+	m := ilp.NewModel(ilp.Minimize)
+	ids := make([]ilp.VarID, nx+nz+2*ng)
+	h := handles{m: m, xs: ids[:nx:nx], zs: ids[nx : nx+nz : nx+nz], ys: ids[nx+nz : nx+nz+ng : nx+nz+ng], as: ids[nx+nz+ng:]}
+	for i := range db.IMPs {
+		h.xs[i] = m.AddBinary("x", objX(i))
+	}
+	// terms is the scratch of every row: AddConstraint keeps a copy.
+	var terms []ilp.Term
 	// (1) one method per s-call.
-	for _, sc := range db.SCalls {
-		var terms []ilp.Term
-		for i, im := range db.IMPs {
-			if im.SC == sc {
+	for s := range db.SCalls {
+		terms = terms[:0]
+		for i := range db.IMPs {
+			if in.scOf[i] == s {
 				terms = append(terms, ilp.Term{Var: h.xs[i], Coef: 1})
 			}
 		}
-		if terms != nil {
-			m.AddConstraint("one_"+sc.Name(), terms, ilp.LE, 1)
+		if len(terms) > 0 {
+			m.AddConstraint("one", terms, ilp.LE, 1)
 		}
 	}
 	// (2) per-path required gain.
@@ -236,67 +243,56 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 		if rg <= 0 {
 			continue
 		}
-		var terms []ilp.Term
+		terms = terms[:0]
 		for i := range db.IMPs {
 			if c := in.pathCoef(k, i); c != 0 {
 				terms = append(terms, ilp.Term{Var: h.xs[i], Coef: float64(c)})
 			}
 		}
-		if terms == nil {
-			terms = []ilp.Term{{Var: h.xs[0], Coef: 0}}
+		if len(terms) == 0 {
+			terms = append(terms, ilp.Term{Var: h.xs[0], Coef: 0})
 		}
-		m.AddConstraint(fmt.Sprintf("path_%d", k), terms, ilp.GE, float64(rg))
+		m.AddConstraint("path", terms, ilp.GE, float64(rg))
 	}
 	// (3) fixed charge per IP. The disaggregated form x_m ≤ z_k is
 	// equivalent to the paper's Σx ≤ M·z_k but gives a much tighter LP
 	// relaxation, which keeps branch and bound small.
-	for _, id := range in.ipIDs {
-		z := m.AddBinary("z_"+id, objZ(in.ipArea[id]))
-		h.zs[id] = z
-		for i, im := range db.IMPs {
-			if im.IP.ID == id {
-				m.AddConstraint("fc_"+id, []ilp.Term{
-					{Var: h.xs[i], Coef: 1},
-					{Var: z, Coef: -1},
-				}, ilp.LE, 0)
+	for j, id := range in.ipIDs {
+		z := m.AddBinary("z", objZ(in.ipArea[id]))
+		h.zs[j] = z
+		for i := range db.IMPs {
+			if in.ipOf[i] == j {
+				terms = append(terms[:0], ilp.Term{Var: h.xs[i], Coef: 1}, ilp.Term{Var: z, Coef: -1})
+				m.AddConstraint("fc", terms, ilp.LE, 0)
 			}
 		}
 	}
 	// Interface-area fixed charge per implementation group (merged
 	// S-instructions). Skipped when merging is disabled — interface area
 	// is then charged through objX per selected method.
-	if !in.p.DisableMerging {
-		for _, g := range in.groups {
-			tag := fmt.Sprintf("%s_%s_%s", g.ipID, g.ifType, g.flattened)
-			y := m.AddBinary("y_"+tag, objYCount)
-			h.ys[g] = y
-			// The merged S-instruction's interface area is the largest
-			// area among its selected members: a_g ≥ c_m·x_m.
-			a := m.AddVar("a_"+tag, 0, in.grpArea[g], objGArea)
-			h.as[g] = a
-			for i, im := range db.IMPs {
-				if in.grpOf[i] != g {
-					continue
-				}
-				m.AddConstraint("fy_"+tag, []ilp.Term{
-					{Var: h.xs[i], Coef: 1},
-					{Var: y, Coef: -1},
-				}, ilp.LE, 0)
-				if im.IfaceArea > 0 {
-					m.AddConstraint("ga_"+tag, []ilp.Term{
-						{Var: h.xs[i], Coef: im.IfaceArea},
-						{Var: a, Coef: -1},
-					}, ilp.LE, 0)
-				}
+	for g := 0; g < ng; g++ {
+		y := m.AddBinary("y", objYCount)
+		h.ys[g] = y
+		// The merged S-instruction's interface area is the largest
+		// area among its selected members: a_g ≥ c_m·x_m.
+		a := m.AddVar("a", 0, in.grpArea[g], objGArea)
+		h.as[g] = a
+		for i, im := range db.IMPs {
+			if in.grp[i] != g {
+				continue
+			}
+			terms = append(terms[:0], ilp.Term{Var: h.xs[i], Coef: 1}, ilp.Term{Var: y, Coef: -1})
+			m.AddConstraint("fy", terms, ilp.LE, 0)
+			if im.IfaceArea > 0 {
+				terms = append(terms[:0], ilp.Term{Var: h.xs[i], Coef: im.IfaceArea}, ilp.Term{Var: a, Coef: -1})
+				m.AddConstraint("ga", terms, ilp.LE, 0)
 			}
 		}
 	}
 	// (4) SC-PC conflicts.
 	for _, c := range db.Conflicts {
-		m.AddConstraint("conflict", []ilp.Term{
-			{Var: h.xs[c[0]], Coef: 1},
-			{Var: h.xs[c[1]], Coef: 1},
-		}, ilp.LE, 1)
+		terms = append(terms[:0], ilp.Term{Var: h.xs[c[0]], Coef: 1}, ilp.Term{Var: h.xs[c[1]], Coef: 1})
+		m.AddConstraint("conflict", terms, ilp.LE, 1)
 	}
 	// (3b) Aggregated fixed charge per (IP, s-call): an IP's members
 	// competing for one s-call can select at most one of themselves, so
@@ -307,19 +303,23 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 	// fraction. Valid cuts never change the optimal value, only the
 	// relaxation bound, so solves with and without them return
 	// identical selections.
-	byIPSC := map[string][]ilp.Term{}
-	for i, im := range db.IMPs {
-		key := im.IP.ID + "\x00" + im.SC.Name()
-		byIPSC[key] = append(byIPSC[key], ilp.Term{Var: h.xs[i], Coef: 1})
+	for _, pair := range in.ipSC {
+		if len(pair) < 2 {
+			continue
+		}
+		terms = terms[:0]
+		for _, i := range pair {
+			terms = append(terms, ilp.Term{Var: h.xs[i], Coef: 1})
+		}
+		terms = append(terms, ilp.Term{Var: h.zs[in.ipOf[pair[0]]], Coef: -1})
+		m.AddConstraint("fcs", terms, ilp.LE, 0)
 	}
-	for _, id := range in.ipIDs {
-		for _, sc := range db.SCalls {
-			terms := byIPSC[id+"\x00"+sc.Name()]
-			if len(terms) < 2 {
-				continue
-			}
-			terms = append(terms[:len(terms):len(terms)], ilp.Term{Var: h.zs[id], Coef: -1})
-			m.AddConstraint("fcs_"+id, terms, ilp.LE, 0)
+	// The cuts below read each path's per-IP gain capacities G_jk,
+	// computed once here: row k of caps, in ipIDs order.
+	caps := make([]int64, len(db.Paths)*nz)
+	for k := range db.Paths {
+		if in.required(k) > 0 {
+			in.pathCapacity(k, caps[k*nz:(k+1)*nz])
 		}
 	}
 	// (2b) Per-path IP gain capacity: with (3b), the gain path k can
@@ -335,15 +335,14 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 		if rg <= 0 {
 			continue
 		}
-		capacity := in.ipGainCapacity(k)
-		var terms []ilp.Term
-		for _, id := range in.ipIDs {
-			if g := capacity[id]; g > 0 {
-				terms = append(terms, ilp.Term{Var: h.zs[id], Coef: float64(g)})
+		terms = terms[:0]
+		for j, g := range caps[k*nz : (k+1)*nz] {
+			if g > 0 {
+				terms = append(terms, ilp.Term{Var: h.zs[j], Coef: float64(g)})
 			}
 		}
-		if terms != nil {
-			m.AddConstraint(fmt.Sprintf("ipcap_%d", k), terms, ilp.GE, float64(rg))
+		if len(terms) > 0 {
+			m.AddConstraint("ipcap", terms, ilp.GE, float64(rg))
 		}
 	}
 	// (2c) Per-path cover (cardinality) cuts, in z- and x-space. For
@@ -358,43 +357,37 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 	// where the area objective lives. Like (3b)/(2b) they are valid
 	// cuts: no integer-feasible point is removed, so the optimum — and
 	// the lexicographic tie-break — are untouched.
+	sorted := make([]int64, max(nz, len(db.SCalls)))
 	for k := range db.Paths {
 		rg := in.required(k)
 		if rg <= 0 {
 			continue
 		}
-		capacity := in.ipGainCapacity(k)
-		caps := make([]int64, 0, len(capacity))
-		for _, g := range capacity {
-			caps = append(caps, g)
-		}
-		if kappa := coverCount(caps, rg); kappa >= 2 {
-			var terms []ilp.Term
-			for _, id := range in.ipIDs {
-				if capacity[id] > 0 {
-					terms = append(terms, ilp.Term{Var: h.zs[id], Coef: 1})
+		capacity := caps[k*nz : (k+1)*nz]
+		if kappa := coverCount(append(sorted[:0], capacity...), rg); kappa >= 2 {
+			terms = terms[:0]
+			for j, g := range capacity {
+				if g > 0 {
+					terms = append(terms, ilp.Term{Var: h.zs[j], Coef: 1})
 				}
 			}
-			m.AddConstraint(fmt.Sprintf("zcover_%d", k), terms, ilp.GE, float64(kappa))
+			m.AddConstraint("zcover", terms, ilp.GE, float64(kappa))
 		}
-		bestSC := map[string]int64{}
-		for i, im := range db.IMPs {
-			if c := in.pathCoef(k, i); c > bestSC[im.SC.Name()] {
-				bestSC[im.SC.Name()] = c
+		best := sorted[:len(db.SCalls)]
+		clear(best)
+		for i := range db.IMPs {
+			if c := in.pathCoef(k, i); c > best[in.scOf[i]] {
+				best[in.scOf[i]] = c
 			}
 		}
-		best := make([]int64, 0, len(bestSC))
-		for _, g := range bestSC {
-			best = append(best, g)
-		}
 		if lambda := coverCount(best, rg); lambda >= 2 {
-			var terms []ilp.Term
+			terms = terms[:0]
 			for i := range db.IMPs {
 				if in.pathCoef(k, i) > 0 {
 					terms = append(terms, ilp.Term{Var: h.xs[i], Coef: 1})
 				}
 			}
-			m.AddConstraint(fmt.Sprintf("xcover_%d", k), terms, ilp.GE, float64(lambda))
+			m.AddConstraint("xcover", terms, ilp.GE, float64(lambda))
 		}
 	}
 	// (3c) Fixed-charge bound tightening (root probing): if dropping IP
@@ -407,14 +400,15 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 		if rg <= 0 {
 			continue
 		}
-		capacity := in.ipGainCapacity(k)
+		capacity := caps[k*nz : (k+1)*nz]
 		var total int64
 		for _, g := range capacity {
 			total += g
 		}
-		for _, id := range in.ipIDs {
-			if g := capacity[id]; g > 0 && total-g < rg {
-				m.AddConstraint("force_"+id, []ilp.Term{{Var: h.zs[id], Coef: 1}}, ilp.GE, 1)
+		for j, g := range capacity {
+			if g > 0 && total-g < rg {
+				terms = append(terms[:0], ilp.Term{Var: h.zs[j], Coef: 1})
+				m.AddConstraint("force", terms, ilp.GE, 1)
 			}
 		}
 	}
@@ -422,54 +416,56 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 }
 
 // coverCount is the cover-cut cardinality for a covering requirement:
-// the minimum number of the given capacities (sorted descending) whose
-// sum reaches need. Returns 0 when need ≤ 0 and len(caps)+1 when even
-// all of them fall short (the caller's constraint is then infeasible on
-// its own, which the LP discovers without the cut).
+// the minimum number of the positive capacities in caps whose sum
+// reaches need, taken largest first. Returns 0 when need ≤ 0 and one
+// more than the number of positive capacities when even all of them
+// fall short (the caller's constraint is then infeasible on its own,
+// which the LP discovers without the cut). It sorts caps.
 func coverCount(caps []int64, need int64) int {
 	if need <= 0 {
 		return 0
 	}
-	sort.Slice(caps, func(a, b int) bool { return caps[a] > caps[b] })
+	slices.Sort(caps)
 	var sum int64
-	for n, g := range caps {
-		sum += g
+	n := 0
+	for i := len(caps) - 1; i >= 0 && caps[i] > 0; i-- {
+		sum += caps[i]
+		n++
 		if sum >= need {
-			return n + 1
+			return n
 		}
 	}
-	return len(caps) + 1
+	return n + 1
 }
 
-// ipGainCapacity is G_jk: the most gain path k can draw from each IP —
-// per s-call, the best of the IP's competing methods (constraint (1)
-// admits only one), summed over s-calls.
-func (in *instance) ipGainCapacity(k int) map[string]int64 {
-	capacity := map[string]int64{}
-	best := map[string]int64{}
-	for i, im := range in.db.IMPs {
-		key := im.IP.ID + "\x00" + im.SC.Name()
-		if c := in.pathCoef(k, i); c > best[key] {
-			capacity[im.IP.ID] += c - best[key]
-			best[key] = c
+// pathCapacity writes G_jk into capacity, one entry per IP in ipIDs
+// order: the most gain path k can draw from IP j — per s-call, the best
+// of the IP's competing methods (constraint (1) admits only one), summed
+// over s-calls.
+func (a *Analysis) pathCapacity(k int, capacity []int64) {
+	clear(capacity)
+	for _, pair := range a.ipSC {
+		var best int64
+		for _, i := range pair {
+			best = max(best, a.pathCoef(k, i))
 		}
+		capacity[a.ipOf[pair[0]]] += best
 	}
-	return capacity
 }
 
 // areaTerms builds the area expression for the pinning constraint.
 func (in *instance) areaTerms(h handles) []ilp.Term {
-	var terms []ilp.Term
-	for _, id := range in.ipIDs {
-		terms = append(terms, ilp.Term{Var: h.zs[id], Coef: in.ipArea[id]})
+	terms := make([]ilp.Term, 0, len(h.zs)+max(len(h.xs), len(h.as)))
+	for j, id := range in.ipIDs {
+		terms = append(terms, ilp.Term{Var: h.zs[j], Coef: in.ipArea[id]})
 	}
 	if in.p.DisableMerging {
 		for i, im := range in.db.IMPs {
 			terms = append(terms, ilp.Term{Var: h.xs[i], Coef: im.IfaceArea})
 		}
 	} else {
-		for _, g := range in.groups {
-			terms = append(terms, ilp.Term{Var: h.as[g], Coef: 1})
+		for _, a := range h.as {
+			terms = append(terms, ilp.Term{Var: a, Coef: 1})
 		}
 	}
 	return terms
@@ -631,24 +627,27 @@ func (in *instance) decode(h handles, sol *ilp.Solution, nodes int) *Selection {
 // counts.
 func (in *instance) compose(chosen []int, nodes int) *Selection {
 	sel := &Selection{Status: ilp.Optimal, Nodes: nodes}
-	usedIPs := map[string]bool{}
-	groupArea := map[group]float64{}
+	usedIP := make([]bool, len(in.ipIDs))
+	// grpUsed marks the groups of chosen methods and grpArea holds each
+	// one's largest chosen interface area.
+	grpUsed := make([]bool, len(in.groups))
+	grpArea := make([]float64, len(in.groups))
 	for _, i := range chosen {
 		im := in.db.IMPs[i]
 		sel.Chosen = append(sel.Chosen, im)
 		sel.Gain += in.totalGain[i]
 		sel.SCallsImplemented += len(im.SC.Sites)
-		usedIPs[im.IP.ID] = true
-		g := in.grpOf[i]
-		if prev, ok := groupArea[g]; !ok || im.IfaceArea > prev {
-			groupArea[g] = im.IfaceArea
+		usedIP[in.ipOf[i]] = true
+		g := in.grp[i]
+		if !grpUsed[g] || im.IfaceArea > grpArea[g] {
+			grpUsed[g], grpArea[g] = true, im.IfaceArea
 		}
 	}
 	// Sum in the analysis's fixed orders, never map order: float
 	// addition is not associative, and the area must be the same float64
 	// on every run.
-	for _, id := range in.ipIDs {
-		if usedIPs[id] {
+	for j, id := range in.ipIDs {
+		if usedIP[j] {
 			sel.Area += in.ipArea[id]
 		}
 	}
@@ -658,12 +657,12 @@ func (in *instance) compose(chosen []int, nodes int) *Selection {
 		}
 		sel.SInstructions = len(sel.Chosen)
 	} else {
-		for _, g := range in.groups {
-			if a, ok := groupArea[g]; ok {
-				sel.Area += a
+		for g, used := range grpUsed {
+			if used {
+				sel.Area += grpArea[g]
+				sel.SInstructions++
 			}
 		}
-		sel.SInstructions = len(groupArea)
 	}
 	// Per-path achieved gains.
 	sel.PathGains = make([]int64, len(in.db.Paths))
