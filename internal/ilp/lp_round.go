@@ -65,7 +65,7 @@ func (m *Model) SolveLPRound(ctx context.Context, bud budget.Budget) (*Solution,
 		return nil, err
 	}
 	lim := limits{ctx: ctx, maxIter: bud.MaxSimplexIter}
-	r := m.solveRelaxation(nil, lim, nil)
+	r := m.solveRelaxation(nil, nil, lim, nil)
 	if r.err != nil {
 		return nil, r.err
 	}

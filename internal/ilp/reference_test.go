@@ -167,30 +167,56 @@ func referenceLP(m *Model) (Status, float64, []float64, error) {
 	return Optimal, obj, x, nil
 }
 
-// checkAgainstReference solves m with SolveCtx and with referenceLP,
-// returns the status they agree on, and reports the first
-// disagreement: in status, in objective beyond 1e-6 relative, or an
-// optimal point that fails Check.
-func checkAgainstReference(m *Model) (Status, error) {
-	s, err := m.SolveCtx(context.Background(), budget.Budget{})
-	if err != nil {
-		return 0, fmt.Errorf("SolveCtx: %v", err)
-	}
+// checkAgainstReference solves m with SolveCtx, with solveRelaxation
+// started from two points, and with referenceLP. One start has every
+// column with a finite range at its upper bound, the other is point,
+// as branch and bound starts a child from its parent's LP point; where
+// an LP starts may change the vertex it lands on, not what it proves.
+// It returns the status they all agree on, and reports the first
+// disagreement with the reference: in status, in objective beyond 1e-6
+// relative, or an optimal point that fails Check.
+func checkAgainstReference(m *Model, point []float64) (Status, error) {
 	st, obj, _, err := referenceLP(m)
 	if err != nil {
 		return 0, err
 	}
-	if s.Status != st {
-		return 0, fmt.Errorf("SolveCtx says %v (objective %g), reference %v (objective %g)", s.Status, s.Objective, st, obj)
+	agree := func(name string, s *Solution) error {
+		if s.Status != st {
+			return fmt.Errorf("%s says %v (objective %g), reference %v (objective %g)", name, s.Status, s.Objective, st, obj)
+		}
+		if st != Optimal {
+			return nil
+		}
+		if math.Abs(s.Objective-obj) > 1e-6*math.Max(1, math.Abs(obj)) {
+			return fmt.Errorf("%s objective %.12g, reference %.12g", name, s.Objective, obj)
+		}
+		if err := m.Check(s, 1e-6); err != nil {
+			return fmt.Errorf("%s: optimal point fails Check: %v", name, err)
+		}
+		return nil
 	}
-	if st != Optimal {
-		return st, nil
+	s, err := m.SolveCtx(context.Background(), budget.Budget{})
+	if err != nil {
+		return 0, fmt.Errorf("SolveCtx: %v", err)
 	}
-	if math.Abs(s.Objective-obj) > 1e-6*math.Max(1, math.Abs(obj)) {
-		return 0, fmt.Errorf("SolveCtx objective %.12g, reference %.12g", s.Objective, obj)
+	if err := agree("SolveCtx", s); err != nil {
+		return 0, err
 	}
-	if err := m.Check(s, 1e-6); err != nil {
-		return 0, fmt.Errorf("optimal point fails Check: %v", err)
+	upper := make([]float64, len(m.vars))
+	for j, v := range m.vars {
+		upper[j] = v.hi
+	}
+	for _, start := range [...]struct {
+		name string
+		x    []float64
+	}{{"the upper bounds", upper}, {"the decoded point", point}} {
+		r := m.solveRelaxation(nil, start.x, limits{ctx: context.Background()}, nil)
+		if r.err != nil {
+			return 0, fmt.Errorf("LP from %s: %v", start.name, r.err)
+		}
+		if err := agree("LP from "+start.name, r.solution()); err != nil {
+			return 0, err
+		}
 	}
 	return st, nil
 }
@@ -205,7 +231,7 @@ func checkAgainstReference(m *Model) (Status, error) {
 // eighth is drawn at random. Coefficients, costs and random right-hand
 // sides are small signed integers. Variables fixed by lo == hi, or by
 // singleton rows pinning them, leave rows with one free variable
-// behind.
+// behind. It also returns the variables' points.
 //
 // With gains, costs and the coefficients of gain rows are also scaled
 // by gains spread like the GSM model's 1..126 087, so a row can pair a
@@ -222,7 +248,7 @@ func checkAgainstReference(m *Model) (Status, error) {
 // solver's answer is exact and the reference's is not: a false
 // "unbounded" from reduced-cost rounding against costs of 10⁵–10⁶, or a
 // point that spends a large row's tolerance.
-func decodeLP(data []byte, gains bool) *Model {
+func decodeLP(data []byte, gains bool) (*Model, []float64) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -311,7 +337,7 @@ func decodeLP(data []byte, gains bool) *Model {
 		}
 		m.AddConstraint(fmt.Sprintf("c%d", c), terms, rel, rhs)
 	}
-	return m
+	return m, point
 }
 
 // lpFeatures names the features of m the differential tests must
@@ -358,9 +384,10 @@ func lpFeatures(m *Model) map[string]bool {
 	return f
 }
 
-// TestLPMatchesReference: on 2 000 random small LPs the solver and the
-// explicit-row reference agree on the status and, when optimal, on the
-// objective to 1e-6 relative, and every optimal point passes Check.
+// TestLPMatchesReference: on 2 000 random small LPs the solver, started
+// cold and from two start points, and the explicit-row reference agree
+// on the status and, when optimal, on the objective to 1e-6 relative,
+// and every optimal point passes Check.
 // The LPs cover every bound kind, singleton, empty and duplicate-term
 // rows, and GSM-like gain spreads; the test counts them and each status.
 func TestLPMatchesReference(t *testing.T) {
@@ -369,8 +396,8 @@ func TestLPMatchesReference(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		data := make([]byte, 32+rng.Intn(224))
 		rng.Read(data)
-		m := decodeLP(data, true)
-		st, err := checkAgainstReference(m)
+		m, point := decodeLP(data, true)
+		st, err := checkAgainstReference(m, point)
 		if err != nil {
 			t.Fatalf("trial %d: %v\nmodel:\n%s", trial, err, m)
 		}
@@ -392,15 +419,15 @@ func TestLPMatchesReference(t *testing.T) {
 // FuzzLP: an LP decoded from arbitrary bytes, with finite non-unit
 // bounds, lo == hi, one-sided and free variables, and rows that
 // collapse to one variable, solves to the explicit-row reference's
-// status and objective, and its optimal point passes Check. Its seeds
-// live in testdata/fuzz/FuzzLP: a chain of collapsing rows that
-// presolve settles completely, bound flips around one coupling row, and
-// free variables. Coefficients stay small (no gain spreads; see
-// decodeLP).
+// status and objective from every start checkAgainstReference tries,
+// and its optimal point passes Check. Its seeds live in
+// testdata/fuzz/FuzzLP: a chain of collapsing rows that presolve
+// settles completely, bound flips around one coupling row, and free
+// variables. Coefficients stay small (no gain spreads; see decodeLP).
 func FuzzLP(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := decodeLP(data, false)
-		if _, err := checkAgainstReference(m); err != nil {
+		m, point := decodeLP(data, false)
+		if _, err := checkAgainstReference(m, point); err != nil {
 			t.Fatalf("%v\nmodel:\n%s", err, m)
 		}
 	})

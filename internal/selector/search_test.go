@@ -14,13 +14,16 @@ import (
 // Solve, then how its nodes ended (infeasible in presolve, infeasible by
 // LP, pruned by bound, integral, branched), which sum to its nodes, then
 // the nodes and pivots of its tie-break pass. The full tables pass is
-// 315 / 315 / 10 075 / 698, with outcomes 25 / 20 / 53 / 36 / 181, and
-// its tie-break passes take 80 nodes and 463 pivots. The per-pass
+// 309 / 309 / 8 556 / 241, with outcomes 13 / 19 / 63 / 45 / 169, and
+// its tie-break passes take 74 nodes and 369 pivots. The per-pass
 // counters must add up to the selection's Search. The serial solver is
 // deterministic, so any change to the node order, the entering or
 // leaving choices, the pivot arithmetic or the presolve shows up here. A
 // change that alters the search on purpose updates this table and says
-// so. Starting the tie-break pass from the area pass's leaves did: it
+// so. Starting each child's LP at its parent's LP point did: it
+// replaced 315 / 315 / 10 075 / 698, whose outcomes were 25 / 20 / 53 /
+// 36 / 181 and whose tie-break passes took 80 nodes and 463 pivots.
+// Starting the tie-break pass from the area pass's leaves did: it
 // left every area pass as it was and replaced 418 / 418 / 14 148 /
 // 1 037, whose outcomes were 37 / 56 / 37 / 35 / 253 and whose tie-break
 // passes took 183 nodes and 4 536 pivots. Bound propagation in the node
@@ -35,26 +38,26 @@ func TestSearchCountersGolden(t *testing.T) {
 	}
 	golden := map[key][11]int64{
 		{"T1", 47740}:    {24, 24, 607, 0, 3, 0, 6, 2, 13, 7, 0},
-		{"T1", 95480}:    {18, 18, 406, 0, 2, 0, 7, 1, 8, 7, 0},
-		{"T1", 143221}:   {11, 11, 269, 12, 3, 0, 0, 1, 7, 4, 0},
-		{"T1", 190961}:   {15, 15, 778, 41, 1, 1, 0, 1, 12, 2, 0},
-		{"T1", 238702}:   {16, 16, 683, 27, 1, 0, 4, 1, 10, 3, 1},
-		{"T1", 286442}:   {18, 18, 841, 38, 0, 0, 6, 2, 10, 3, 2},
-		{"T1", 334182}:   {21, 21, 1082, 114, 1, 2, 1, 1, 16, 2, 0},
-		{"T1", 381923}:   {35, 35, 1736, 260, 3, 6, 0, 1, 25, 4, 0},
+		{"T1", 95480}:    {17, 17, 349, 5, 1, 0, 7, 2, 7, 6, 0},
+		{"T1", 143221}:   {6, 6, 215, 4, 0, 0, 0, 2, 4, 1, 0},
+		{"T1", 190961}:   {14, 14, 662, 19, 0, 1, 0, 2, 11, 1, 0},
+		{"T1", 238702}:   {27, 27, 929, 15, 1, 0, 10, 2, 14, 6, 1},
+		{"T1", 286442}:   {18, 18, 726, 19, 0, 0, 5, 3, 10, 3, 1},
+		{"T1", 334182}:   {20, 20, 914, 44, 0, 2, 1, 2, 15, 1, 0},
+		{"T1", 381923}:   {26, 26, 1131, 51, 0, 5, 1, 2, 18, 1, 0},
 		{"T2", 22240}:    {28, 28, 342, 0, 3, 0, 9, 2, 14, 13, 1},
 		{"T2", 44481}:    {28, 28, 459, 0, 3, 0, 9, 2, 14, 7, 0},
-		{"T2", 111203}:   {10, 10, 186, 0, 1, 0, 3, 1, 5, 3, 0},
-		{"T2", 133444}:   {12, 12, 385, 8, 0, 0, 4, 2, 6, 3, 1},
-		{"T2", 155684}:   {11, 11, 280, 8, 3, 0, 0, 2, 6, 4, 0},
-		{"T2", 177925}:   {6, 6, 326, 25, 0, 0, 0, 3, 3, 1, 9},
-		{"T2", 200166}:   {18, 18, 798, 101, 0, 5, 1, 2, 10, 9, 206},
-		{"T2", 211286}:   {6, 6, 379, 50, 0, 2, 0, 2, 2, 3, 229},
-		{"T3", 12157384}: {8, 8, 123, 0, 0, 0, 1, 2, 5, 1, 0},
-		{"T3", 20262307}: {8, 8, 105, 1, 0, 1, 1, 2, 4, 1, 0},
-		{"T3", 37195000}: {10, 10, 90, 7, 0, 1, 1, 2, 6, 1, 0},
-		{"T3", 37282645}: {6, 6, 60, 1, 0, 1, 0, 2, 3, 1, 0},
-		{"T3", 37843700}: {6, 6, 140, 5, 1, 1, 0, 2, 2, 1, 14},
+		{"T2", 111203}:   {17, 17, 223, 5, 1, 0, 7, 2, 7, 6, 0},
+		{"T2", 133444}:   {10, 10, 191, 5, 0, 0, 4, 2, 4, 3, 0},
+		{"T2", 155684}:   {6, 6, 171, 3, 0, 0, 0, 3, 3, 1, 0},
+		{"T2", 177925}:   {6, 6, 263, 10, 0, 0, 0, 3, 3, 1, 8},
+		{"T2", 200166}:   {18, 18, 599, 29, 0, 5, 1, 2, 10, 9, 170},
+		{"T2", 211286}:   {6, 6, 306, 14, 0, 2, 0, 2, 2, 3, 184},
+		{"T3", 12157384}: {8, 8, 109, 2, 0, 0, 1, 2, 5, 1, 0},
+		{"T3", 20262307}: {8, 8, 108, 5, 0, 1, 1, 2, 4, 1, 0},
+		{"T3", 37195000}: {10, 10, 86, 4, 0, 1, 1, 2, 6, 1, 0},
+		{"T3", 37282645}: {6, 6, 62, 4, 0, 1, 0, 2, 3, 1, 0},
+		{"T3", 37843700}: {6, 6, 104, 3, 1, 1, 0, 2, 2, 1, 4},
 	}
 	tables := []struct {
 		name string
@@ -106,7 +109,7 @@ func TestSearchCountersGolden(t *testing.T) {
 	if rows != len(golden) {
 		t.Errorf("%d published rows, %d golden", rows, len(golden))
 	}
-	if want := [11]int64{315, 315, 10075, 698, 25, 20, 53, 36, 181, 80, 463}; sum != want {
+	if want := [11]int64{309, 309, 8556, 241, 13, 19, 63, 45, 169, 74, 369}; sum != want {
 		t.Errorf("full pass: nodes/cold LPs/pivots/flips, outcomes, then tie-break nodes/pivots = %v, want %v", sum, want)
 	}
 }

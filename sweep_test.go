@@ -21,7 +21,7 @@ func TestSweepPipelineReusesPlateaus(t *testing.T) {
 		solved, reused int
 		nodes          int
 	}{
-		{"gsm", apps.GSMEncoderWorkload, 17, 47, 365},
+		{"gsm", apps.GSMEncoderWorkload, 17, 47, 337},
 		{"jpeg", apps.JPEGEncoderWorkload, 5, 59, 76},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
