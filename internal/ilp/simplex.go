@@ -332,7 +332,12 @@ func (m *Model) propagate(live []int, ar *arena) (collapsed, ok bool) {
 		// how many terms are unbounded that way.
 		minAct, maxAct := 0.0, 0.0
 		minInf, maxInf := 0, 0
-		scale := math.Max(1, math.Abs(c.rhs))
+		// Plain comparisons, not math.Max: no operand is NaN, and scale
+		// starts at 1 or more, so signed zeros cannot matter.
+		scale := math.Abs(c.rhs)
+		if scale < 1 {
+			scale = 1
+		}
 		for _, tm := range c.terms {
 			a := tm.Coef
 			if a == 0 {
@@ -352,7 +357,9 @@ func (m *Model) propagate(live []int, ar *arena) (collapsed, ok bool) {
 			} else {
 				maxAct += h
 			}
-			scale = math.Max(scale, math.Abs(a))
+			if abs := math.Abs(a); abs > scale {
+				scale = abs
+			}
 		}
 		tol := feasEps * scale
 		le, ge := c.rel != GE, c.rel != LE
