@@ -198,8 +198,8 @@ func (in *instance) required(k int) int64 {
 // handles are the model variables of one build: xs per IMP, zs per IP
 // in ipIDs order and, unless merging is disabled, ys and as per group in
 // groups order. ys are binary group-selected indicators (S-instruction
-// count); as are continuous group interface areas (max over selected
-// members).
+// count), linked to their members only in a build that prices them; as
+// are continuous group interface areas (max over selected members).
 type handles struct {
 	m              *ilp.Model
 	xs, zs, ys, as []ilp.VarID
@@ -256,12 +256,21 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 	}
 	// (3) fixed charge per IP. The disaggregated form x_m ≤ z_k is
 	// equivalent to the paper's Σx ≤ M·z_k but gives a much tighter LP
-	// relaxation, which keeps branch and bound small.
+	// relaxation, which keeps branch and bound small. A method gets its
+	// link only when it is alone in its (IP, s-call) pair: a pair of two
+	// or more has the (3b) row Σx − z_k ≤ 0, which implies each member's
+	// link because every x ≥ 0, so those links would change no LP.
+	lone := make([]bool, nx)
+	for _, pair := range in.ipSC {
+		if len(pair) == 1 {
+			lone[pair[0]] = true
+		}
+	}
 	for j, id := range in.ipIDs {
 		z := m.AddBinary("z", objZ(in.ipArea[id]))
 		h.zs[j] = z
 		for i := range db.IMPs {
-			if in.ipOf[i] == j {
+			if in.ipOf[i] == j && lone[i] {
 				terms = append(terms[:0], ilp.Term{Var: h.xs[i], Coef: 1}, ilp.Term{Var: z, Coef: -1})
 				m.AddConstraint("fc", terms, ilp.LE, 0)
 			}
@@ -269,7 +278,11 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 	}
 	// Interface-area fixed charge per implementation group (merged
 	// S-instructions). Skipped when merging is disabled — interface area
-	// is then charged through objX per selected method.
+	// is then charged through objX per selected method. y_g counts the
+	// group's S-instruction, and x_m ≤ y_g is emitted only when y_g
+	// carries a cost, in the tie-break pass: in the area pass y_g costs
+	// nothing and sits in no other row, so the links would bound nothing
+	// the objective sees.
 	for g := 0; g < ng; g++ {
 		y := m.AddBinary("y", objYCount)
 		h.ys[g] = y
@@ -281,8 +294,10 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 			if in.grp[i] != g {
 				continue
 			}
-			terms = append(terms[:0], ilp.Term{Var: h.xs[i], Coef: 1}, ilp.Term{Var: y, Coef: -1})
-			m.AddConstraint("fy", terms, ilp.LE, 0)
+			if objYCount != 0 {
+				terms = append(terms[:0], ilp.Term{Var: h.xs[i], Coef: 1}, ilp.Term{Var: y, Coef: -1})
+				m.AddConstraint("fy", terms, ilp.LE, 0)
+			}
 			if im.IfaceArea > 0 {
 				terms = append(terms[:0], ilp.Term{Var: h.xs[i], Coef: im.IfaceArea}, ilp.Term{Var: a, Coef: -1})
 				m.AddConstraint("ga", terms, ilp.LE, 0)
@@ -294,15 +309,15 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 		terms = append(terms[:0], ilp.Term{Var: h.xs[c[0]], Coef: 1}, ilp.Term{Var: h.xs[c[1]], Coef: 1})
 		m.AddConstraint("conflict", terms, ilp.LE, 1)
 	}
-	// (3b) Aggregated fixed charge per (IP, s-call): an IP's members
-	// competing for one s-call can select at most one of themselves, so
-	// together they need only one unit of the IP indicator. Integrally
-	// implied by (1)+(3); fractionally strictly tighter than the
-	// per-method links — spreading an s-call's coverage across an IP's
-	// methods now costs the full fixed charge instead of the maximum
-	// fraction. Valid cuts never change the optimal value, only the
-	// relaxation bound, so solves with and without them return
-	// identical selections.
+	// (3b) Aggregated fixed charge per (IP, s-call) pair of two or more
+	// methods: an IP's members competing for one s-call can select at
+	// most one of themselves, so together they need only one unit of the
+	// IP indicator. The row stands in for its members' links x_m ≤ z_k,
+	// which it implies (every x ≥ 0), and is integrally implied by
+	// (1)+(3) yet fractionally strictly tighter than them — spreading an
+	// s-call's coverage across an IP's methods costs the full fixed
+	// charge instead of the maximum fraction. A pair of one method has
+	// its link in (3), which is its (3b) row.
 	for _, pair := range in.ipSC {
 		if len(pair) < 2 {
 			continue
@@ -553,9 +568,10 @@ func solveBound(ctx context.Context, in *instance) (*Selection, error) {
 	// per-method tiebreak so the solver prefers fewer implementations.
 	// Gains are integers, so a per-x weight < 1/n cannot change the gain
 	// optimum. The pass searches only pass 1's leaves whose area bound is
-	// within the pin: it has pass 1's build, its pin row is pass 1's
-	// objective, and the area floor, the one cut only pass 1 carries,
-	// lies below every pinned point, so it meets SolveWithin's contract.
+	// within the pin, and it meets SolveWithin's contract: its rows are
+	// pass 1's plus the x ≤ y links, which only this pass prices, and the
+	// pin, whose row is pass 1's objective; the area floor, the one row
+	// only pass 1 carries, lies below every pinned point.
 	n := float64(len(p.DB.IMPs) + len(in.groups) + 1)
 	h2 := in.build(
 		func(i int) float64 { return float64(in.totalGain[i]) + 0.25/n },

@@ -21,8 +21,8 @@ func TestSweepPipelineReusesPlateaus(t *testing.T) {
 		solved, reused int
 		nodes          int
 	}{
-		{"gsm", apps.GSMEncoderWorkload, 17, 47, 337},
-		{"jpeg", apps.JPEGEncoderWorkload, 5, 59, 76},
+		{"gsm", apps.GSMEncoderWorkload, 17, 47, 333},
+		{"jpeg", apps.JPEGEncoderWorkload, 5, 59, 72},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d, _ := liveDesign(t, tc.gen)
