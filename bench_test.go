@@ -359,12 +359,12 @@ func BenchmarkOptimizer(b *testing.B) {
 
 func BenchmarkSimplexLP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m := ilp.NewModel(ilp.Maximize)
+		m := ilp.NewModel()
 		rng := rand.New(rand.NewSource(1))
 		n := 20
 		vars := make([]ilp.VarID, n)
 		for j := 0; j < n; j++ {
-			vars[j] = m.AddVar("x", 0, 100, rng.Float64())
+			vars[j] = m.AddVar("x", 0, 100, -rng.Float64())
 		}
 		for r := 0; r < 10; r++ {
 			var terms []ilp.Term
@@ -381,12 +381,12 @@ func BenchmarkSimplexLP(b *testing.B) {
 
 func BenchmarkBranchAndBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m := ilp.NewModel(ilp.Maximize)
+		m := ilp.NewModel()
 		rng := rand.New(rand.NewSource(7))
 		n := 16
 		var terms []ilp.Term
 		for j := 0; j < n; j++ {
-			v := m.AddBinary("x", float64(1+rng.Intn(40)))
+			v := m.AddBinary("x", -float64(1+rng.Intn(40)))
 			terms = append(terms, ilp.Term{Var: v, Coef: float64(1 + rng.Intn(20))})
 		}
 		m.AddConstraint("cap", terms, ilp.LE, 60)

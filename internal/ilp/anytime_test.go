@@ -11,7 +11,7 @@ import (
 )
 
 // adversarialModel builds an interleaved fixed-charge knapsack that
-// defeats bound-based pruning: 2n binaries, Maximize Σ(3·x_i − z_i)
+// defeats bound-based pruning: 2n binaries, minimize Σ(z_i − 3·x_i)
 // subject to 2·Σx_i ≤ n−1 (n even, so the capacity is odd) and
 // x_i ≤ z_i. Equal weights with an odd capacity keep one x at 1/2 in
 // the relaxation of *every* subproblem with more free items than the
@@ -23,11 +23,11 @@ import (
 // rounds down feasibly), which is exactly the anytime regime: a good
 // answer early, an exponential proof never.
 func adversarialModel(n int) *Model {
-	m := NewModel(Maximize)
+	m := NewModel()
 	capTerms := make([]Term, 0, n)
 	for i := 0; i < n; i++ {
-		x := m.AddBinary(fmt.Sprintf("x%d", i), 3)
-		z := m.AddBinary(fmt.Sprintf("z%d", i), -1)
+		x := m.AddBinary(fmt.Sprintf("x%d", i), -3)
+		z := m.AddBinary(fmt.Sprintf("z%d", i), 1)
 		m.AddConstraint(fmt.Sprintf("link%d", i), []Term{{Var: x, Coef: 1}, {Var: z, Coef: -1}}, LE, 0)
 		capTerms = append(capTerms, Term{Var: x, Coef: 2})
 	}
@@ -36,8 +36,8 @@ func adversarialModel(n int) *Model {
 }
 
 // adversarialOptimum is the true optimum of adversarialModel(n):
-// ⌊(n−1)/2⌋ chosen pairs at net objective 2 each.
-func adversarialOptimum(n int) float64 { return float64(2 * ((n - 1) / 2)) }
+// ⌊(n−1)/2⌋ chosen pairs at net objective −2 each.
+func adversarialOptimum(n int) float64 { return float64(-2 * ((n - 1) / 2)) }
 
 // A 100ms deadline on the adversarial instance must produce an anytime
 // answer quickly: back within 200ms, Status Feasible, an incumbent that
@@ -68,9 +68,9 @@ func TestSolveDeadlineAnytime(t *testing.T) {
 	if g := s.Gap(); g <= 0 {
 		t.Errorf("gap = %g, want > 0 (optimum cannot be proven in 100ms)", g)
 	}
-	// Maximize sense: the proven bound must dominate the incumbent.
-	if s.Bound < s.Objective {
-		t.Errorf("bound %g below incumbent %g", s.Bound, s.Objective)
+	// The proven lower bound must not exceed the incumbent.
+	if s.Bound > s.Objective {
+		t.Errorf("bound %g above incumbent %g", s.Bound, s.Objective)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestSolveNodeLimitAnytime(t *testing.T) {
 	if err := m.Check(s, 1e-6); err != nil {
 		t.Errorf("incumbent fails verification: %v", err)
 	}
-	if opt := adversarialOptimum(20); s.Objective > opt+1e-9 || s.Bound < opt-1e-9 {
+	if opt := adversarialOptimum(20); s.Objective < opt-1e-9 || s.Bound > opt+1e-9 {
 		t.Errorf("incumbent %g / bound %g do not bracket the optimum %g", s.Objective, s.Bound, opt)
 	}
 }
@@ -146,9 +146,9 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
-// Sanity: with an ample budget the adversarial instance's true optimum
-// is n−1 chosen pairs (objective 2(n−1)) — proving the anytime answers
-// above are genuinely suboptimal-or-equal, not artifacts.
+// Sanity: with an ample budget the adversarial instance reaches its true
+// optimum, adversarialOptimum(n) — proving the anytime answers above are
+// genuinely suboptimal-or-equal, not artifacts.
 func TestAdversarialOptimumSmall(t *testing.T) {
 	for _, n := range []int{6, 9, 12} {
 		m := adversarialModel(n)

@@ -8,7 +8,7 @@ import (
 	"partita/internal/budget"
 )
 
-// Solve optimizes the model with no resource budget. Models with binary
+// Solve minimizes the model with no resource budget. Models with binary
 // variables are solved by best-first branch and bound over LP
 // relaxations; pure LPs are solved directly. The returned Solution is
 // provably optimal when Status is Optimal.
@@ -16,7 +16,7 @@ func (m *Model) Solve() (*Solution, error) {
 	return m.SolveCtx(context.Background(), budget.Budget{})
 }
 
-// SolveCtx optimizes the model under a resource budget, making the
+// SolveCtx minimizes the model under a resource budget, making the
 // branch-and-bound solver anytime:
 //
 //   - the context's deadline/cancellation and bud.MaxNodes bound the
@@ -36,14 +36,14 @@ func (m *Model) SolveCtx(ctx context.Context, bud budget.Budget) (*Solution, err
 
 // SolveWithin solves the model like SolveCtx, but searches only the
 // parts of an earlier search that can hold a point of interest. An
-// Optimal minimization keeps the leaves its branch and bound retired
-// without proving them infeasible, each with its proven bound; together
+// Optimal solve keeps the leaves its branch and bound retired without
+// proving them infeasible, each with its proven lower bound; together
 // with the infeasible ones they cover the whole 0-1 space. SolveWithin
 // solves no root: its search starts from one open node per leaf of prev
 // whose bound is at most limit, with that leaf's fixings.
 //
-// The caller asserts the contract: prev is an Optimal minimization over
-// the same variables, and every point this model accepts whose objective
+// The caller asserts the contract: prev is an Optimal solve over the
+// same variables, and every point this model accepts whose objective
 // in prev's model is at most limit is a point prev's model accepts. A
 // lexicographic second pass meets it when it adds to the first pass's
 // constraints a row pinning the first objective at most limit: such a
@@ -55,10 +55,9 @@ func (m *Model) SolveCtx(ctx context.Context, bud budget.Budget) (*Solution, err
 // every leaf whose bound exceeds limit by at most
 // feasEps·max(1, |limit|).
 //
-// When prev is nil, not Optimal, keeps no leaves (a Maximize model or a
-// pure LP) or has another number of variables, SolveWithin solves from
-// the root like SolveCtx. Budgets, the anytime stop and Stats behave as
-// in SolveCtx.
+// When prev is nil, not Optimal, keeps no leaves (a pure LP) or has
+// another number of variables, SolveWithin solves from the root like
+// SolveCtx. Budgets, the anytime stop and Stats behave as in SolveCtx.
 func (m *Model) SolveWithin(ctx context.Context, bud budget.Budget, prev *Solution, limit float64) (*Solution, error) {
 	if prev == nil || prev.Status != Optimal || len(prev.leaves) == 0 || len(prev.Values) != len(m.vars) {
 		return m.SolveCtx(ctx, bud)
@@ -75,31 +74,36 @@ func (m *Model) SolveWithin(ctx context.Context, bud budget.Budget, prev *Soluti
 	return m.solve(ctx, bud, roots)
 }
 
-// solve runs branch and bound from the open nodes roots, or solves the
-// relaxation directly when the model has no integer variable.
-func (m *Model) solve(ctx context.Context, bud budget.Budget, roots []*bbNode) (*Solution, error) {
+// SolveRelaxation solves the model's LP relaxation, every integer
+// variable relaxed to its bounds, with no branching. The Solution
+// counts one node and one cold LP with its pivots and bound flips; its
+// Objective and Bound are the LP optimum, which bounds the 0-1 optimum
+// from below. An infeasible or unbounded relaxation proves the same
+// status for the 0-1 program, with Bound +Inf or -Inf. The context
+// deadline and bud.MaxSimplexIter bound the solve.
+func (m *Model) SolveRelaxation(ctx context.Context, bud budget.Budget) (*Solution, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
 	if err := budget.Check(ctx); err != nil {
 		return nil, err
 	}
-	lim := limits{ctx: ctx, maxIter: bud.MaxSimplexIter}
-	hasInt := false
+	r := m.solveRelaxation(nil, nil, limits{ctx: ctx, maxIter: bud.MaxSimplexIter}, nil)
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r.solution(), nil
+}
+
+// solve runs branch and bound from the open nodes roots, or solves the
+// relaxation when the model has no integer variable.
+func (m *Model) solve(ctx context.Context, bud budget.Budget, roots []*bbNode) (*Solution, error) {
 	for _, v := range m.vars {
 		if v.integer {
-			hasInt = true
-			break
+			return m.branchAndBound(ctx, bud, roots)
 		}
 	}
-	if !hasInt {
-		r := m.solveRelaxation(nil, nil, lim, nil)
-		if r.err != nil {
-			return nil, r.err
-		}
-		return r.solution(), nil
-	}
-	return m.branchAndBound(ctx, bud, roots)
+	return m.SolveRelaxation(ctx, bud)
 }
 
 // bbNode is one open subproblem: a parent pointer plus this node's own
@@ -114,15 +118,15 @@ type bbNode struct {
 	parent *bbNode
 	v      VarID   // variable fixed at this node; -1 at the root
 	val    float64 // value v is fixed to
-	bound  float64 // relaxation bound in minimization sense
+	bound  float64 // lower bound: the parent's LP optimum
 	depth  int32
 	// x is the node's LP point, kept when the node branches.
 	x []float64
 }
 
 // leaf is a subtree the search retired without proving it infeasible:
-// the node whose fixings define it, and a lower bound, in minimization
-// sense, on the objective of every point it holds.
+// the node whose fixings define it, and a lower bound on the objective
+// of every point it holds.
 type leaf struct {
 	node  *bbNode
 	bound float64
@@ -230,14 +234,14 @@ func (m *Model) roundExact(lp []float64) []float64 {
 	return x
 }
 
-// branchAndBound searches best-first from the open nodes roots.
+// branchAndBound validates the model, checks the budget and searches
+// best-first from the open nodes roots.
 func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*bbNode) (*Solution, error) {
-	// Internally minimize; flip at the end if maximizing.
-	toMin := func(obj float64) float64 {
-		if m.sense == Maximize {
-			return -obj
-		}
-		return obj
+	if err := m.validate(); err != nil {
+		return nil, err
+	}
+	if err := budget.Check(ctx); err != nil {
+		return nil, err
 	}
 	lim := limits{ctx: ctx, maxIter: bud.MaxSimplexIter}
 
@@ -260,11 +264,11 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*
 	// incumbent if it beats the current one. nodeBound is the relaxation
 	// bound of the node that produced x; the global proven bound is its
 	// minimum with the best open-node bound.
-	tryIncumbent := func(x []float64, objMin, nodeBound float64) {
-		if objMin >= incumbentObj {
+	tryIncumbent := func(x []float64, obj, nodeBound float64) {
+		if obj >= incumbentObj {
 			return
 		}
-		incumbentObj = objMin
+		incumbentObj = obj
 		incumbentX = x
 		if m.onIncumbent == nil {
 			return
@@ -273,12 +277,8 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*
 		if open.Len() > 0 && (*open)[0].bound < lb {
 			lb = (*open)[0].bound
 		}
-		lb = math.Min(lb, objMin)
-		obj, bnd := objMin, lb
-		if m.sense == Maximize {
-			obj, bnd = -obj, -bnd
-		}
-		m.onIncumbent(Progress{Objective: obj, Bound: bnd, Nodes: nodes,
+		lb = math.Min(lb, obj)
+		m.onIncumbent(Progress{Objective: obj, Bound: lb, Nodes: nodes,
 			Values: append([]float64(nil), x...)})
 	}
 
@@ -295,13 +295,9 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*
 				lb = nd.bound
 			}
 		}
-		obj, bound := incumbentObj, lb
-		if m.sense == Maximize {
-			obj, bound = -obj, -bound
-		}
 		return &Solution{
-			Status: Feasible, Objective: obj, Values: incumbentX,
-			Nodes: nodes, Bound: bound, Stopped: reason, Stats: stats,
+			Status: Feasible, Objective: incumbentObj, Values: incumbentX,
+			Nodes: nodes, Bound: lb, Stopped: reason, Stats: stats,
 		}, nil
 	}
 
@@ -317,11 +313,7 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*
 			return
 		}
 		lastBound = lb
-		obj, bnd := incumbentObj, lb
-		if m.sense == Maximize {
-			obj, bnd = -obj, -bnd
-		}
-		m.onBound(Progress{Objective: obj, Bound: bnd, Nodes: nodes})
+		m.onBound(Progress{Objective: incumbentObj, Bound: lb, Nodes: nodes})
 	}
 
 	for open.Len() > 0 {
@@ -356,7 +348,7 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*
 			// only come from continuous variables; the MILP is unbounded.
 			return &Solution{Status: Unbounded, Nodes: nodes, Bound: math.Inf(-1), Stats: stats}, nil
 		}
-		bound := toMin(r.obj)
+		bound := r.obj
 		if bound >= incumbentObj-1e-9 {
 			stats.BoundPruned++
 			leaves = append(leaves, leaf{node, bound})
@@ -377,7 +369,7 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*
 		// and seeds the incumbent long before a dive bottoms out —
 		// essential for anytime behaviour under tight deadlines.
 		if x, obj, ok := m.roundToFeasible(r.x); ok {
-			tryIncumbent(x, toMin(obj), bound)
+			tryIncumbent(x, obj, bound)
 		}
 		for _, val := range [...]float64{1, 0} {
 			heap.Push(open, &bbNode{
@@ -399,17 +391,12 @@ func (m *Model) branchAndBound(ctx context.Context, bud budget.Budget, roots []*
 		// 0-1 program — simply Infeasible.
 		return &Solution{Status: Infeasible, Nodes: nodes, Bound: math.Inf(1), Stats: stats}, nil
 	}
-	obj := incumbentObj
-	if m.sense == Maximize {
-		obj = -obj
-		leaves = nil // SolveWithin takes only a minimization's leaves
-	}
-	return &Solution{Status: Optimal, Objective: obj, Values: incumbentX, Nodes: nodes, Bound: obj, Stats: stats, leaves: leaves}, nil
+	return &Solution{Status: Optimal, Objective: incumbentObj, Values: incumbentX, Nodes: nodes, Bound: incumbentObj, Stats: stats, leaves: leaves}, nil
 }
 
 // roundToFeasible snaps every integer variable of an LP point to its
 // nearest integer and reports whether the result satisfies all bounds
-// and constraints; obj is its objective in the model's own sense.
+// and constraints; obj is its objective.
 func (m *Model) roundToFeasible(lp []float64) (x []float64, obj float64, ok bool) {
 	x = make([]float64, len(lp))
 	copy(x, lp)
@@ -440,8 +427,7 @@ func (m *Model) roundToFeasible(lp []float64) (x []float64, obj float64, ok bool
 }
 
 // evalPoint checks x against every variable bound and constraint of the
-// model and, when it satisfies them all, returns its objective in the
-// model's own sense.
+// model and, when it satisfies them all, returns its objective.
 func (m *Model) evalPoint(x []float64) (obj float64, ok bool) {
 	const tol = 1e-7
 	for j, v := range m.vars {

@@ -7,19 +7,19 @@ import (
 )
 
 func TestKnapsack(t *testing.T) {
-	// Classic 0-1 knapsack: values {60,100,120}, weights {10,20,30}, cap 50.
-	// Optimum: items 2 and 3, value 220.
-	m := NewModel(Maximize)
-	a := m.AddBinary("a", 60)
-	b := m.AddBinary("b", 100)
-	c := m.AddBinary("c", 120)
+	// Classic 0-1 knapsack: values {60,100,120}, weights {10,20,30}, cap 50,
+	// with each value as a negative cost. Optimum: items 2 and 3, value 220.
+	m := NewModel()
+	a := m.AddBinary("a", -60)
+	b := m.AddBinary("b", -100)
+	c := m.AddBinary("c", -120)
 	m.AddConstraint("cap", []Term{{a, 10}, {b, 20}, {c, 30}}, LE, 50)
 	s, err := m.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal || !almost(s.Objective, 220, 1e-6) {
-		t.Fatalf("status=%v obj=%g, want optimal 220", s.Status, s.Objective)
+	if s.Status != Optimal || !almost(s.Objective, -220, 1e-6) {
+		t.Fatalf("status=%v obj=%g, want optimal -220", s.Status, s.Objective)
 	}
 	if s.IsSet(a) || !s.IsSet(b) || !s.IsSet(c) {
 		t.Errorf("selection = %v %v %v, want false true true", s.IsSet(a), s.IsSet(b), s.IsSet(c))
@@ -29,7 +29,7 @@ func TestKnapsack(t *testing.T) {
 func TestMinCoverWithFixedCharge(t *testing.T) {
 	// Miniature of the paper's IP-sharing structure: two s-calls can both
 	// use IP k (area 5). Selecting either or both must pay the area once.
-	m := NewModel(Minimize)
+	m := NewModel()
 	x1 := m.AddBinary("x1", 0)
 	x2 := m.AddBinary("x2", 0)
 	z := m.AddBinary("z_ip", 5)
@@ -54,23 +54,23 @@ func TestMinCoverWithFixedCharge(t *testing.T) {
 }
 
 func TestConflictPair(t *testing.T) {
-	// Problem-2 style SC-PC conflict: x + y <= 1 with both very valuable;
-	// only one may be chosen.
-	m := NewModel(Maximize)
-	x := m.AddBinary("x", 10)
-	y := m.AddBinary("y", 9)
+	// Problem-2 style SC-PC conflict: x + y <= 1 with both very valuable
+	// (negative costs); only one may be chosen.
+	m := NewModel()
+	x := m.AddBinary("x", -10)
+	y := m.AddBinary("y", -9)
 	m.AddConstraint("conflict", []Term{{x, 1}, {y, 1}}, LE, 1)
 	s, err := m.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almost(s.Objective, 10, 1e-6) || !s.IsSet(x) || s.IsSet(y) {
-		t.Fatalf("obj=%g x=%v y=%v, want 10 true false", s.Objective, s.IsSet(x), s.IsSet(y))
+	if !almost(s.Objective, -10, 1e-6) || !s.IsSet(x) || s.IsSet(y) {
+		t.Fatalf("obj=%g x=%v y=%v, want -10 true false", s.Objective, s.IsSet(x), s.IsSet(y))
 	}
 }
 
 func TestInfeasibleMILP(t *testing.T) {
-	m := NewModel(Minimize)
+	m := NewModel()
 	x := m.AddBinary("x", 1)
 	y := m.AddBinary("y", 1)
 	m.AddConstraint("need3", []Term{{x, 1}, {y, 1}}, GE, 3)
@@ -86,7 +86,7 @@ func TestInfeasibleMILP(t *testing.T) {
 func TestMixedIntegerContinuous(t *testing.T) {
 	// min 4b + y ; y >= 2 - 2b ; y >= 0; b binary.
 	// b=0: y=2, obj 2. b=1: y=0, obj 4. Optimum 2.
-	m := NewModel(Minimize)
+	m := NewModel()
 	b := m.AddBinary("b", 4)
 	y := m.AddVar("y", 0, math.Inf(1), 1)
 	m.AddConstraint("c", []Term{{y, 1}, {b, 2}}, GE, 2)
@@ -140,13 +140,9 @@ func bruteForce(m *Model) (float64, bool) {
 		for j, v := range m.vars {
 			obj += v.obj * x[j]
 		}
-		if !found {
+		if !found || obj < best {
 			best = obj
 			found = true
-		} else if m.sense == Minimize && obj < best {
-			best = obj
-		} else if m.sense == Maximize && obj > best {
-			best = obj
 		}
 	}
 	return best, found
@@ -159,13 +155,13 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(8) // up to 9 binaries
 		nc := 1 + rng.Intn(5)
-		sense := Minimize
+		sgn := 1.0 // half the trials negate the objective
 		if rng.Intn(2) == 1 {
-			sense = Maximize
+			sgn = -1
 		}
-		m := NewModel(sense)
+		m := NewModel()
 		for j := 0; j < n; j++ {
-			m.AddBinary("x", float64(rng.Intn(41)-20))
+			m.AddBinary("x", sgn*float64(rng.Intn(41)-20))
 		}
 		for i := 0; i < nc; i++ {
 			var terms []Term
@@ -245,9 +241,9 @@ func TestFixSetChain(t *testing.T) {
 }
 
 func TestNodesReported(t *testing.T) {
-	m := NewModel(Maximize)
-	a := m.AddBinary("a", 3)
-	b := m.AddBinary("b", 2)
+	m := NewModel()
+	a := m.AddBinary("a", -3)
+	b := m.AddBinary("b", -2)
 	m.AddConstraint("cap", []Term{{a, 2}, {b, 2}}, LE, 3)
 	s, err := m.Solve()
 	if err != nil {
@@ -256,7 +252,7 @@ func TestNodesReported(t *testing.T) {
 	if s.Nodes < 1 {
 		t.Errorf("Nodes = %d, want >= 1", s.Nodes)
 	}
-	if !almost(s.Objective, 3, 1e-6) {
-		t.Errorf("objective = %g, want 3", s.Objective)
+	if !almost(s.Objective, -3, 1e-6) {
+		t.Errorf("objective = %g, want -3", s.Objective)
 	}
 }

@@ -12,11 +12,10 @@ import (
 // under a node budget. Contracts under attack: the solver never panics,
 // any Optimal or Feasible solution passes Check (bounds, integrality,
 // every constraint), and a Feasible solution's bound never excludes its
-// own incumbent. When the solve is an Optimal minimization, the bytes
-// left over give a second objective, and a tie-break pass that pins the
-// first objective at its optimum must reach the same status and
-// objective from the first solve's leaves (SolveWithin) as from the
-// root.
+// own incumbent. When the solve is Optimal, the bytes left over give a
+// second objective, and a tie-break pass that pins the first objective
+// at its optimum must reach the same status and objective from the
+// first solve's leaves (SolveWithin) as from the root.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 3, 7})
@@ -61,7 +60,7 @@ func FuzzSolve(f *testing.F) {
 		default:
 			t.Fatalf("unknown status %v", s.Status)
 		}
-		if s.Status == Optimal && m.sense == Minimize {
+		if s.Status == Optimal {
 			tieBreakFromLeaves(t, m, s, rest)
 		}
 	})
@@ -73,7 +72,7 @@ func FuzzSolve(f *testing.F) {
 // root solve.
 func tieBreakFromLeaves(t *testing.T, m *Model, s *Solution, data []byte) {
 	t.Helper()
-	m2 := NewModel(Minimize)
+	m2 := NewModel()
 	var pin []Term
 	for j, v := range m.vars {
 		obj := 0.0
@@ -111,8 +110,9 @@ func tieBreakFromLeaves(t *testing.T, m *Model, s *Solution, data []byte) {
 
 // decodeModel derives a deterministic small model from raw bytes:
 // byte 0 → number of binaries (1..8), byte 1 → number of constraints
-// (0..6), byte 2 → sense, then objective coefficients and per-constraint
-// (coeffs, rel, rhs) records; it also returns the bytes it left.
+// (0..6), byte 2 → whether to negate the objective, then objective
+// coefficients and per-constraint (coeffs, rel, rhs) records; it also
+// returns the bytes it left.
 // Coefficients are small signed integers so the simplex stays
 // well-conditioned and Check tolerances are meaningful.
 func decodeModel(data []byte) (*Model, []byte, bool) {
@@ -126,14 +126,14 @@ func decodeModel(data []byte) (*Model, []byte, bool) {
 	}
 	nv := int(next())%8 + 1
 	nc := int(next()) % 7
-	sense := Minimize
+	sgn := 1.0
 	if next()%2 == 1 {
-		sense = Maximize
+		sgn = -1
 	}
-	m := NewModel(sense)
+	m := NewModel()
 	vars := make([]VarID, nv)
 	for i := range vars {
-		obj := float64(int(next())%21 - 10)
+		obj := sgn * float64(int(next())%21-10)
 		vars[i] = m.AddBinary("x", obj)
 	}
 	for c := 0; c < nc; c++ {

@@ -1,7 +1,10 @@
 // Package ilp provides a small, self-contained mixed 0-1 integer linear
 // programming toolkit: a two-phase bounded-variable primal simplex
 // solver for linear relaxations and a best-first branch-and-bound driver
-// for binary decision variables.
+// for binary decision variables. Every model minimizes its objective.
+// Model.SolveCtx solves a model with binaries by branch and bound, and
+// Model.SolveRelaxation solves only its LP relaxation, whose optimum
+// bounds the 0-1 optimum from below.
 //
 // It exists so that the S-instruction selection problem of Choi et al.
 // (DAC 1999) can be solved exactly without any external solver. Problem
@@ -32,8 +35,8 @@
 // as a bitset, and the ratio test walks only those rows.
 //
 // A lexicographic second solve need not start again from the root. An
-// Optimal minimization keeps the leaves its search retired without
-// proving them infeasible, each with its proven bound, and
+// Optimal solve keeps the leaves its search retired without proving
+// them infeasible, each with its proven lower bound, and
 // Model.SolveWithin starts from those whose bound is at most a limit.
 // The caller asserts that every point the second model accepts, with an
 // objective in the first model of at most the limit, is a point the
@@ -46,16 +49,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-)
-
-// Sense selects the optimization direction of a Model.
-type Sense int
-
-const (
-	// Minimize asks for the least objective value.
-	Minimize Sense = iota
-	// Maximize asks for the greatest objective value.
-	Maximize
 )
 
 // Rel is the relation of a linear constraint to its right-hand side.
@@ -108,10 +101,9 @@ type constraint struct {
 	rhs   float64
 }
 
-// Model accumulates variables and constraints and can be solved either as
-// a pure LP (relaxation) or as a mixed 0-1 program.
+// Model accumulates variables and constraints, and minimizes its
+// objective either as a pure LP (relaxation) or as a mixed 0-1 program.
 type Model struct {
-	sense       Sense
 	vars        []variable
 	cons        []constraint
 	onIncumbent func(Progress)
@@ -124,13 +116,12 @@ type Model struct {
 
 // Progress describes one anytime event of a branch-and-bound solve: a
 // new incumbent was installed. Events for one solve arrive in strictly
-// improving objective order (decreasing for Minimize, increasing for
-// Maximize).
+// decreasing objective order.
 type Progress struct {
-	// Objective is the incumbent's objective in the model's own sense.
+	// Objective is the incumbent's objective.
 	Objective float64
-	// Bound is the best proven bound on the optimum at the time of the
-	// event (a lower bound for Minimize, upper for Maximize).
+	// Bound is the best proven lower bound on the optimum at the time of
+	// the event.
 	Bound float64
 	// Nodes is the number of branch-and-bound nodes explored so far.
 	Nodes int
@@ -161,18 +152,18 @@ func (m *Model) OnIncumbent(f func(Progress)) { m.onIncumbent = f }
 // OnBound registers f to be invoked synchronously each time the
 // branch-and-bound search tightens the proven global bound on the
 // optimum (best-first search raises it monotonically as nodes pop).
-// Events carry the bound, the incumbent objective at the time (+Inf in
-// minimization sense while no incumbent exists), and no Values — they
-// report proof progress, not a new configuration. Consumers that only
+// Events carry the bound, the incumbent objective at the time (+Inf
+// while no incumbent exists), and no Values — they report proof
+// progress, not a new configuration. Consumers that only
 // need the incumbent stream should keep using OnIncumbent; this
 // callback is for anytime consumers, the racing portfolio above all,
 // whose acceptability test tightens with every proven bound. Same
 // contract as OnIncumbent: fast, no re-entry, nil removes it.
 func (m *Model) OnBound(f func(Progress)) { m.onBound = f }
 
-// NewModel returns an empty model with the given optimization sense.
-func NewModel(sense Sense) *Model {
-	return &Model{sense: sense}
+// NewModel returns an empty model.
+func NewModel() *Model {
+	return &Model{}
 }
 
 // NumVars reports the number of variables added so far.
@@ -246,12 +237,10 @@ type Solution struct {
 	// Nodes is the number of branch-and-bound nodes explored (1 for a
 	// pure LP solve).
 	Nodes int
-	// Bound is the best proven bound on the optimal objective in the
-	// model's own sense: a lower bound for Minimize, an upper bound for
-	// Maximize. Equal to Objective when Status is Optimal; +Inf when
-	// Infeasible and -Inf when Unbounded, in either sense; may be
-	// infinite when the solve stopped before the root relaxation
-	// finished.
+	// Bound is the best proven lower bound on the optimal objective.
+	// Equal to Objective when Status is Optimal; +Inf when Infeasible
+	// and -Inf when Unbounded; may be infinite when the solve stopped
+	// before the root relaxation finished.
 	Bound float64
 	// Stopped records why an anytime solve gave up (wrapping one of the
 	// budget package sentinels); nil when the solve ran to completion.
@@ -260,9 +249,9 @@ type Solution struct {
 	// counts); purely informational.
 	Stats SearchStats
 
-	// leaves are the subtrees an Optimal minimization by branch and
-	// bound retired without proving them infeasible; SolveWithin starts
-	// from them.
+	// leaves are the subtrees an Optimal solve by branch and bound
+	// retired without proving them infeasible; SolveWithin starts from
+	// them.
 	leaves []leaf
 }
 
@@ -349,11 +338,7 @@ func (m *Model) Check(s *Solution, tol float64) error {
 // golden tests.
 func (m *Model) String() string {
 	var b strings.Builder
-	if m.sense == Minimize {
-		b.WriteString("min ")
-	} else {
-		b.WriteString("max ")
-	}
+	b.WriteString("min ")
 	for i, v := range m.vars {
 		if i > 0 {
 			b.WriteString(" + ")

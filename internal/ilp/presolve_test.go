@@ -13,7 +13,7 @@ import (
 // rows in eight hold at one random point, tightly or with a little
 // slack; the eighth gets a random right-hand side.
 func randomBinaryNode(rng *rand.Rand) (*Model, *bbNode) {
-	m := NewModel(Minimize)
+	m := NewModel()
 	n := 1 + rng.Intn(12)
 	point := make([]float64, n)
 	for j := range point {

@@ -13,7 +13,7 @@ import (
 // rounding pass seeds a deliberately poor incumbent that branch and
 // bound then improves several times — exercising the progress stream.
 func oddCycleCover(costs []float64) (*Model, []VarID) {
-	m := NewModel(Minimize)
+	m := NewModel()
 	n := len(costs)
 	xs := make([]VarID, n)
 	for i, c := range costs {
@@ -63,43 +63,6 @@ func TestOnIncumbentMonotonicImprovement(t *testing.T) {
 		}
 		if g := e.Gap(); g < 0 {
 			t.Errorf("event %d gap %g < 0", i, g)
-		}
-	}
-}
-
-func TestOnIncumbentMaximizeSense(t *testing.T) {
-	// Maximize a knapsack; events must arrive in increasing order with
-	// bounds at or above each objective.
-	m := NewModel(Maximize)
-	vals := []float64{6, 5, 4, 3}
-	wts := []float64{5, 4, 3, 2}
-	var terms []Term
-	for i, v := range vals {
-		x := m.AddBinary("x", v)
-		terms = append(terms, Term{Var: x, Coef: wts[i]})
-	}
-	m.AddConstraint("cap", terms, LE, 7)
-	var events []Progress
-	m.OnIncumbent(func(p Progress) { events = append(events, p) })
-	sol, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if len(events) == 0 {
-		t.Fatal("no incumbent events fired")
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Objective <= events[i-1].Objective {
-			t.Errorf("event %d objective %g does not improve on %g",
-				i, events[i].Objective, events[i-1].Objective)
-		}
-	}
-	for i, e := range events {
-		if e.Bound < e.Objective-1e-9 {
-			t.Errorf("event %d bound %g below objective %g (maximize)", i, e.Bound, e.Objective)
 		}
 	}
 }

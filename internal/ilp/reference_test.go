@@ -16,8 +16,7 @@ import (
 // upper bound an explicit ≤ row, and each row gets a slack and, for ≥
 // and = rows, an artificial. The dense kernel of pivot_test.go runs
 // both phases on a tableau with no finite column bound, so it never
-// flips a column. It reports the status, the objective in the model's
-// own sense, and the point.
+// flips a column. It reports the status, the objective and the point.
 func referenceLP(m *Model) (Status, float64, []float64, error) {
 	// One column per variable with a lower bound (v = x − lo), one per
 	// variable with only an upper bound (v = hi − x), and a positive and
@@ -130,12 +129,8 @@ func referenceLP(m *Model) (Status, float64, []float64, error) {
 		}
 		t.a[i], t.b[i] = a, b
 	}
-	sgn := 1.0
-	if m.sense == Maximize {
-		sgn = -1
-	}
 	for k, c := range cols {
-		t.d[1][k] = sgn * c.sign * m.vars[c.v].obj
+		t.d[1][k] = c.sign * m.vars[c.v].obj
 	}
 
 	const maxIter = 20000
@@ -222,11 +217,11 @@ func checkAgainstReference(m *Model, point []float64) (Status, error) {
 }
 
 // decodeLP derives a small continuous LP from raw bytes: byte 0 → 1..6
-// variables, byte 1 → 0..7 constraints, byte 2 → sense; then per
-// variable a bound kind (unit, finite non-unit, shifted, lo == hi,
-// one-sided either way, free) and a point inside its bounds, and per
-// constraint a term count that may be zero, term variables that may
-// repeat, a relation and a right-hand side. Seven right-hand sides in
+// variables, byte 1 → 0..7 constraints, byte 2 → whether to negate the
+// objective; then per variable a bound kind (unit, finite non-unit,
+// shifted, lo == hi, one-sided either way, free) and a point inside its
+// bounds, and per constraint a term count that may be zero, term
+// variables that may repeat, a relation and a right-hand side. Seven right-hand sides in
 // eight hold at the variables' points, so most LPs are feasible; the
 // eighth is drawn at random. Coefficients, costs and random right-hand
 // sides are small signed integers. Variables fixed by lo == hi, or by
@@ -267,11 +262,11 @@ func decodeLP(data []byte, gains bool) (*Model, []float64) {
 	inf := math.Inf(1)
 	nv := 1 + next()%6
 	nc := next() % 8
-	sense := Minimize
+	sgn := 1.0
 	if next()%2 == 1 {
-		sense = Maximize
+		sgn = -1
 	}
-	m := NewModel(sense)
+	m := NewModel()
 	point := make([]float64, nv)
 	var bounded []int
 	for j := range point {
@@ -309,7 +304,7 @@ func decodeLP(data []byte, gains bool) (*Model, []float64) {
 		default:
 			point[j] = a
 		}
-		m.AddVar(fmt.Sprintf("x%d", j), lo, hi, float64(next()%21-10)*gain())
+		m.AddVar(fmt.Sprintf("x%d", j), lo, hi, sgn*float64(next()%21-10)*gain())
 	}
 	for c := 0; c < nc; c++ {
 		terms := make([]Term, next()%(nv+2))

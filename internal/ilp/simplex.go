@@ -90,7 +90,7 @@ type tableau struct {
 // lpResult is the outcome of one relaxation solve in model-variable space.
 type lpResult struct {
 	status Status
-	obj    float64   // objective in the model's own sense
+	obj    float64   // the LP optimum when status is Optimal
 	x      []float64 // one value per model variable (fixed vars included)
 	pivots int       // simplex pivots spent on this solve
 	flips  int       // bound flips spent on this solve
@@ -118,7 +118,7 @@ func (r lpResult) stats() SearchStats {
 
 // solution is r as the answer of a one-node solve. An infeasible or
 // unbounded relaxation reports the Bound branch and bound reports for
-// those statuses: +Inf and -Inf, in either sense.
+// those statuses: +Inf and -Inf.
 func (r lpResult) solution() *Solution {
 	s := &Solution{Status: r.status, Objective: r.obj, Values: r.x, Nodes: 1, Bound: r.obj, Stats: r.stats()}
 	switch r.status {
@@ -592,17 +592,13 @@ func (m *Model) solveRelaxation(fx *fixSet, start []float64, lim limits, ar *are
 		}
 	}
 
-	// Real costs over structural columns (converted to minimization).
-	sgn := 1.0
-	if m.sense == Maximize {
-		sgn = -1
-	}
+	// Real costs over structural columns.
 	constObj := 0.0
 	for j, v := range m.vars {
-		constObj += sgn * v.obj * at[j]
+		constObj += v.obj * at[j]
 	}
 	for col, j := range free {
-		t.d[1][col] = sgn * m.vars[j].obj
+		t.d[1][col] = m.vars[j].obj
 		if up[col] {
 			t.d[1][col] = -t.d[1][col]
 			t.flip[col] = true
@@ -688,11 +684,7 @@ func (m *Model) solveRelaxation(fx *fixSet, start []float64, lim limits, ar *are
 		}
 		x[j] += v
 	}
-	obj := t.obj[1] + constObj
-	if m.sense == Maximize {
-		obj = -obj
-	}
-	return lpResult{status: Optimal, obj: obj, x: x, pivots: t.pivots, flips: t.flips}
+	return lpResult{status: Optimal, obj: t.obj[1] + constObj, x: x, pivots: t.pivots, flips: t.flips}
 }
 
 // reset sizes t to m rows and n columns, all zero, keeping b (already

@@ -78,8 +78,8 @@ func randomLexPair(rng *rand.Rand) lexPair {
 }
 
 // model builds the pair's rows with objective obj, plus extra rows.
-func (p lexPair) model(sense Sense, obj []float64, extra ...lexRow) *Model {
-	m := NewModel(sense)
+func (p lexPair) model(obj []float64, extra ...lexRow) *Model {
+	m := NewModel()
 	for j := 0; j < p.n; j++ {
 		m.AddBinary("x", obj[j])
 	}
@@ -177,8 +177,8 @@ func sameSolve(a, b *Solution) bool {
 // minimizes the second. Started from pass 1's leaves, it must reach the
 // status and optimum of a root solve and of the enumeration, with a
 // point that passes Check. Where the contract does not hold (a nil,
-// Feasible, Infeasible, Maximize or wider prev), SolveWithin must be
-// the root solve itself.
+// Feasible, Infeasible or wider prev), SolveWithin must be the root
+// solve itself.
 func TestSolveWithinAgainstBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(2020))
@@ -191,7 +191,7 @@ func TestSolveWithinAgainstBruteForce(t *testing.T) {
 			extra = append(extra, lexRow{p.obj1, GE, opt1 - float64(rng.Intn(3)) - 1e-6})
 			cut++
 		}
-		m1 := p.model(Minimize, p.obj1, extra...)
+		m1 := p.model(p.obj1, extra...)
 		s1, err := m1.SolveCtx(ctx, budget.Budget{})
 		if err != nil {
 			t.Fatalf("trial %d: pass 1: %v", trial, err)
@@ -212,7 +212,7 @@ func TestSolveWithinAgainstBruteForce(t *testing.T) {
 		limit := s1.Objective + 1e-6
 		pin := lexRow{p.obj1, LE, limit}
 		opt2, _ := p.enumerate(p.obj2, pin)
-		m2 := p.model(Minimize, p.obj2, pin)
+		m2 := p.model(p.obj2, pin)
 		root, err := m2.SolveCtx(ctx, budget.Budget{})
 		if err != nil {
 			t.Fatalf("trial %d: root pass 2: %v", trial, err)
@@ -250,28 +250,18 @@ func TestSolveWithinAgainstBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: budgeted seeded pass 2 %v (stopped %v), Check: %v", trial, s.Status, s.Stopped, err)
 		}
 
-		// Fallbacks: a Maximize prev keeps no leaves, a prev the budget
-		// stopped or an infeasible one is not Optimal, and a prev with
-		// one more variable does not fit.
-		neg := make([]float64, len(p.obj1))
-		for j, v := range p.obj1 {
-			neg[j] = -v
-		}
-		sMax, err := p.model(Maximize, neg, extra...).SolveCtx(ctx, budget.Budget{})
-		if err != nil || sMax.Status != Optimal {
-			t.Fatalf("trial %d: maximize pass 1: %v %v", trial, sMax, err)
-		}
-		checkFallback(t, trial, "maximize prev", m2, sMax, limit)
+		// Fallbacks: a prev the budget stopped or an infeasible one is
+		// not Optimal, and a prev with one more variable does not fit.
 		if s, err := m1.SolveCtx(ctx, budget.Budget{MaxNodes: 1}); err == nil && s.Status != Optimal {
 			checkFallback(t, trial, s.Status.String()+" prev", m2, s, limit)
 			feasiblePrev++
 		}
-		sInf, err := p.model(Minimize, p.obj1, lexRow{p.obj1, LE, opt1 - 1}).SolveCtx(ctx, budget.Budget{})
+		sInf, err := p.model(p.obj1, lexRow{p.obj1, LE, opt1 - 1}).SolveCtx(ctx, budget.Budget{})
 		if err != nil || sInf.Status != Infeasible {
 			t.Fatalf("trial %d: pass 1 below its optimum: %v %v", trial, sInf, err)
 		}
 		checkFallback(t, trial, "infeasible prev", m2, sInf, limit)
-		wide := p.model(Minimize, p.obj1, extra...)
+		wide := p.model(p.obj1, extra...)
 		wide.AddBinary("w", 1)
 		sWide, err := wide.SolveCtx(ctx, budget.Budget{})
 		if err != nil || sWide.Status != Optimal {
@@ -306,14 +296,14 @@ func TestSolveWithinFloorAtOptimum(t *testing.T) {
 	}
 	ctx := context.Background()
 	opt1, _ := p.enumerate(p.obj1)
-	s1, err := p.model(Minimize, p.obj1, lexRow{p.obj1, GE, opt1 - 1e-6}).SolveCtx(ctx, budget.Budget{})
+	s1, err := p.model(p.obj1, lexRow{p.obj1, GE, opt1 - 1e-6}).SolveCtx(ctx, budget.Budget{})
 	if err != nil || s1.Status != Optimal || s1.Objective > opt1-1e-7 {
 		t.Fatalf("pass 1: %v %v, want Optimal below the enumerated %g", s1, err, opt1)
 	}
 	limit := s1.Objective + 1e-6
 	pin := lexRow{p.obj1, LE, limit}
 	opt2, _ := p.enumerate(p.obj2, pin)
-	m2 := p.model(Minimize, p.obj2, pin)
+	m2 := p.model(p.obj2, pin)
 	root, err1 := m2.SolveCtx(ctx, budget.Budget{})
 	within, err2 := m2.SolveWithin(ctx, budget.Budget{}, s1, limit)
 	if err1 != nil || err2 != nil || root.Status != Optimal || within.Status != Optimal ||

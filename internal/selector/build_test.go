@@ -39,7 +39,7 @@ type referenceForm struct{ relax, everyLink bool }
 
 func (f referenceForm) build(in *instance, objX func(i int) float64, objZ func(area float64) float64, objYCount, objGArea float64) (*ilp.Model, []ilp.Term) {
 	db := in.db
-	m := ilp.NewModel(ilp.Minimize)
+	m := ilp.NewModel()
 	binary := m.AddBinary
 	if f.relax {
 		binary = func(name string, obj float64) ilp.VarID { return m.AddVar(name, 0, 1, obj) }

@@ -13,7 +13,6 @@ package selector
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -262,22 +261,12 @@ func (a *Analysis) Evaluate(p Problem, sel *Selection) *Selection {
 	return out
 }
 
-// LPRound is LP relaxation + rounding over the shared analysis: one
-// simplex solve of the area pass, snapped to the nearest integers
-// (ilp.SolveLPRound). It returns the selection together with the LP
-// lower bound on the optimal area. The racing portfolio no longer runs
-// it (the exact engine's bound stream carries the same bound); the
-// benchmark times it as its root-LP cost.
-//
-// Outcomes: an infeasible relaxation proves the instance Infeasible
-// (bound +Inf, vacuous); a rounded point comes back Feasible with its
-// area gap versus the LP bound (the area may in fact be optimal, but
-// the lexicographic tie-break pass never ran, so the result is never
-// labeled Optimal); when neither rounding nor repairLP finds a point,
-// there is no answer and the error wraps ilp.ErrNoRounding — but the
-// returned bound is still the proven LP bound. Every returned selection
-// carries the one cold LP with its pivots and bound flips in Search.
-// The seed argument is ignored; it stays so existing callers compile.
+// Deprecated: LPRound's one caller is bench/solves.go's rootLPMs,
+// which times it as the benchmark's root-LP cost; it goes when that
+// timer does. It builds the area pass's model and solves only its LP
+// relaxation (ilp.Model.SolveRelaxation), and returns no selection, the
+// LP lower bound on the optimal area (+Inf when the relaxation is
+// infeasible) and the solve's error. The seed argument is ignored.
 func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Selection, float64, error) {
 	if p.DB == nil {
 		p.DB = a.db
@@ -286,7 +275,7 @@ func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Se
 		return nil, math.Inf(-1), fmt.Errorf("selector: problem DB does not match the analysis DB")
 	}
 	if len(a.db.IMPs) == 0 {
-		return &Selection{Status: ilp.Infeasible}, math.Inf(1), nil
+		return nil, math.Inf(1), nil
 	}
 	in := &instance{Analysis: a, p: p}
 	ifaceObj := func(i int) float64 {
@@ -296,155 +285,9 @@ func (a *Analysis) LPRound(ctx context.Context, p Problem, seed *Selection) (*Se
 		return 0
 	}
 	h := in.build(ifaceObj, func(area float64) float64 { return area }, 0, 1)
-	s, err := h.m.SolveLPRound(ctx, p.Budget)
+	s, err := h.m.SolveRelaxation(ctx, p.Budget)
 	if err != nil {
-		var be *ilp.BoundError
-		if errors.As(err, &be) {
-			if sel := in.repairLP(h, be.X); sel != nil {
-				sel.Gap = relAreaGap(sel.Area, be.Bound)
-				sel.Search = be.Stats
-				return sel, be.Bound, nil
-			}
-			return nil, be.Bound, err
-		}
 		return nil, math.Inf(-1), err
 	}
-	switch s.Status {
-	case ilp.Infeasible:
-		return &Selection{Status: ilp.Infeasible, Nodes: s.Nodes, Search: s.Stats}, math.Inf(1), nil
-	case ilp.Unbounded:
-		// Defensive: the area objective is non-negative, so the
-		// relaxation cannot be unbounded in practice.
-		return &Selection{Status: ilp.Unbounded, Nodes: s.Nodes, Search: s.Stats}, math.Inf(-1), nil
-	}
-	bound := s.Bound
-	sel := in.decode(h, s, s.Nodes)
-	sel.Status = ilp.Feasible
-	sel.Gap = relAreaGap(sel.Area, bound)
-	sel.Search = s.Stats
-	return sel, bound, nil
-}
-
-// relAreaGap is the relative area gap against a lower bound, +Inf when
-// the bound is not finite.
-func relAreaGap(area, bound float64) float64 {
-	if math.IsInf(bound, 0) || math.IsNaN(bound) {
-		return math.Inf(1)
-	}
-	return math.Abs(area-bound) / math.Max(1, area)
-}
-
-// repairLP turns a fractional relaxation optimum the generic
-// nearest-integer snap could not fix into a feasible selection, using
-// what the ILP layer cannot know — the problem structure. Methods are
-// taken greedily in descending fractional weight (the LP's own
-// preference order) subject to one-method-per-s-call and the SC-PC
-// conflict pairs, until every path requirement is met; a reverse sweep
-// then drops any method the cover does not need. Because the LP
-// optimum concentrates weight on the methods cheap shared-area covers
-// are made of, the repaired area usually lands within a few percent of
-// the LP bound. Returns nil when even the full candidate set cannot
-// meet the requirements (the caller keeps the bound regardless). Its
-// one caller is LPRound, which the portfolio no longer races.
-func (in *instance) repairLP(h handles, xfrac []float64) *Selection {
-	db := in.db
-	need := make([]int64, len(db.Paths))
-	unmet := 0
-	for k := range db.Paths {
-		if rg := in.required(k); rg > 0 {
-			need[k] = rg
-			unmet++
-		}
-	}
-	order := make([]int, len(db.IMPs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		wa, wb := xfrac[h.xs[order[a]]], xfrac[h.xs[order[b]]]
-		if wa != wb {
-			return wa > wb
-		}
-		return in.totalGain[order[a]] > in.totalGain[order[b]]
-	})
-	conflict := map[int][]int{}
-	for _, c := range db.Conflicts {
-		conflict[c[0]] = append(conflict[c[0]], c[1])
-		conflict[c[1]] = append(conflict[c[1]], c[0])
-	}
-	taken := map[*imp.SCall]bool{}
-	chosen := map[int]bool{}
-	var picks []int
-	for _, i := range order {
-		if unmet == 0 {
-			break
-		}
-		if taken[db.IMPs[i].SC] {
-			continue
-		}
-		blocked := false
-		for _, j := range conflict[i] {
-			if chosen[j] {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
-			continue
-		}
-		helps := false
-		for k := range need {
-			if need[k] > 0 && in.pathCoef(k, i) > 0 {
-				helps = true
-				break
-			}
-		}
-		if !helps {
-			continue
-		}
-		taken[db.IMPs[i].SC] = true
-		chosen[i] = true
-		picks = append(picks, i)
-		for k := range need {
-			if in.required(k) <= 0 {
-				continue
-			}
-			before := need[k]
-			need[k] -= in.pathCoef(k, i)
-			if before > 0 && need[k] <= 0 {
-				unmet--
-			}
-		}
-	}
-	if unmet > 0 {
-		return nil
-	}
-	// Reverse sweep: drop picks the cover no longer needs (lowest LP
-	// weight first — picks is already in descending-weight order).
-	for p := len(picks) - 1; p >= 0; p-- {
-		i := picks[p]
-		removable := true
-		for k := range need {
-			if rg := in.required(k); rg > 0 && need[k]+in.pathCoef(k, i) > 0 {
-				removable = false
-				break
-			}
-		}
-		if removable {
-			for k := range need {
-				if in.required(k) > 0 {
-					need[k] += in.pathCoef(k, i)
-				}
-			}
-			chosen[i] = false
-			picks = append(picks[:p], picks[p+1:]...)
-		}
-	}
-	values := make([]float64, len(xfrac))
-	for _, i := range picks {
-		values[h.xs[i]] = 1
-	}
-	sel := in.decode(h, &ilp.Solution{Values: values}, 1)
-	sel.Status = ilp.Feasible
-	return sel
+	return nil, s.Bound, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"partita/internal/apps"
-	"partita/internal/ilp"
 	"partita/internal/imp"
 )
 
@@ -115,34 +114,5 @@ func TestSearchCountersGolden(t *testing.T) {
 	}
 	if want := [11]int64{303, 303, 6636, 243, 12, 19, 61, 45, 166, 74, 352}; sum != want {
 		t.Errorf("full pass: nodes/cold LPs/pivots/flips, outcomes, then tie-break nodes/pivots = %v, want %v", sum, want)
-	}
-}
-
-// TestLPRoundReportsSearch: every selection the LP-rounding engine
-// returns on the GSM encoder carries its one cold LP and that LP's
-// pivots in Search — at each published row and at an unreachable
-// requirement, whose relaxation proves the instance infeasible.
-func TestLPRoundReportsSearch(t *testing.T) {
-	db, rows, err := apps.GSMEncoderTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := NewAnalysis(db)
-	required := []int64{an.MaxGain() + 1}
-	for _, row := range rows {
-		required = append(required, row.RG)
-	}
-	for _, rg := range required {
-		sel, _, err := an.LPRound(context.Background(), Problem{Required: rg}, nil)
-		if err != nil {
-			t.Fatalf("RG=%d: %v", rg, err)
-		}
-		wantStatus := ilp.Feasible
-		if rg > an.MaxGain() {
-			wantStatus = ilp.Infeasible
-		}
-		if sel.Status != wantStatus || sel.Search.ColdLPs != 1 || sel.Search.PrimalPivots == 0 {
-			t.Errorf("RG=%d: %v, search %+v; want %v with one cold LP and its pivots", rg, sel.Status, sel.Search, wantStatus)
-		}
 	}
 }

@@ -195,14 +195,16 @@ func (in *instance) required(k int) int64 {
 	return in.p.Required
 }
 
-// handles are the model variables of one build: xs per IMP, zs per IP
-// in ipIDs order and, unless merging is disabled, ys and as per group in
-// groups order. ys are binary group-selected indicators (S-instruction
-// count), linked to their members only in a build that prices them; as
-// are continuous group interface areas (max over selected members).
+// handles are the model variables of one build that its callers read:
+// xs per IMP, zs per IP in ipIDs order and, unless merging is disabled,
+// as per group in groups order, the continuous group interface areas
+// (max over selected members). Such a build also adds per group a
+// binary group-selected indicator y (S-instruction count), linked to its
+// members only in a build that prices it. No caller reads a y, but every
+// build adds them, so that both passes have the same variables.
 type handles struct {
-	m              *ilp.Model
-	xs, zs, ys, as []ilp.VarID
+	m          *ilp.Model
+	xs, zs, as []ilp.VarID
 }
 
 // build assembles constraints (1)-(4); objective coefficients are set by
@@ -217,9 +219,9 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 	if in.p.DisableMerging {
 		ng = 0
 	}
-	m := ilp.NewModel(ilp.Minimize)
-	ids := make([]ilp.VarID, nx+nz+2*ng)
-	h := handles{m: m, xs: ids[:nx:nx], zs: ids[nx : nx+nz : nx+nz], ys: ids[nx+nz : nx+nz+ng : nx+nz+ng], as: ids[nx+nz+ng:]}
+	m := ilp.NewModel()
+	ids := make([]ilp.VarID, nx+nz+ng)
+	h := handles{m: m, xs: ids[:nx:nx], zs: ids[nx : nx+nz : nx+nz], as: ids[nx+nz:]}
 	for i := range db.IMPs {
 		h.xs[i] = m.AddBinary("x", objX(i))
 	}
@@ -285,7 +287,6 @@ func (in *instance) build(objX func(i int) float64, objZ func(area float64) floa
 	// the objective sees.
 	for g := 0; g < ng; g++ {
 		y := m.AddBinary("y", objYCount)
-		h.ys[g] = y
 		// The merged S-instruction's interface area is the largest
 		// area among its selected members: a_g ≥ c_m·x_m.
 		a := m.AddVar("a", 0, in.grpArea[g], objGArea)
