@@ -3,7 +3,6 @@ package apps
 import (
 	"testing"
 
-	"partita/internal/dsp"
 	"partita/internal/kernel"
 	"partita/internal/mop"
 	"partita/internal/profile"
@@ -11,7 +10,7 @@ import (
 
 // TestMiniCFIRMatchesGoldenDSP runs the GSM encoder workload on the MOP
 // interpreter and cross-checks the weighting-filter output array against
-// the reference fixed-point implementation in internal/dsp — the two
+// goldenFIR, a fixed-point reference written in Go — the two
 // independently written stacks must agree bit-exactly.
 func TestMiniCFIRMatchesGoldenDSP(t *testing.T) {
 	b := buildWorkload(t, GSMEncoderWorkload, false)
@@ -49,20 +48,30 @@ func TestMiniCFIRMatchesGoldenDSP(t *testing.T) {
 		}
 	}
 
-	// Golden FIR from internal/dsp.
-	goldOut := make([]int64, 64)
-	n, err := dsp.FIR(goldEmph, wcoef, goldOut)
-	if err != nil {
-		t.Fatal(err)
+	goldOut := goldenFIR(goldEmph, wcoef)
+	if len(goldOut) != 33 { // 40 − 8 + 1
+		t.Fatalf("golden FIR produced %d samples, want 33", len(goldOut))
 	}
-	if n != 33 { // 40 − 8 + 1
-		t.Fatalf("golden FIR produced %d samples, want 33", n)
-	}
-	for i := 0; i < n; i++ {
+	for i := range goldOut {
 		if wout[i] != goldOut[i] {
-			t.Fatalf("wout[%d]: interpreter %d vs dsp.FIR %d", i, wout[i], goldOut[i])
+			t.Fatalf("wout[%d]: interpreter %d vs golden FIR %d", i, wout[i], goldOut[i])
 		}
 	}
+}
+
+// goldenFIR is the Q15 FIR filter the GSM encoder's weighting filter
+// computes: out[i] = (Σ_j coef[j]·in[i+j]) >> 15 for each i at which the
+// whole coefficient window fits in the input.
+func goldenFIR(in, coef []int64) []int64 {
+	out := make([]int64, len(in)-len(coef)+1)
+	for i := range out {
+		var acc int64
+		for j, c := range coef {
+			acc += in[i+j] * c
+		}
+		out[i] = acc >> 15
+	}
+	return out
 }
 
 // TestAsmRoundTripOnWorkloads asserts the assembler round-trips the
@@ -112,7 +121,7 @@ func buildWorkloadFrom(t *testing.T, gen func() (Workload, error)) *Built {
 }
 
 // TestMiniCZigZagMatchesGolden cross-checks the JPEG workload's zig-zag
-// scan against dsp.ZigZag.
+// scan against goldenZigZag.
 func TestMiniCZigZagMatchesGolden(t *testing.T) {
 	b := buildWorkload(t, JPEGEncoderWorkload, false)
 	m := profile.New(b.Prog, b.Layout, kernel.DefaultCost())
@@ -130,13 +139,29 @@ func TestMiniCZigZagMatchesGolden(t *testing.T) {
 	freq := read("freq", 64)
 	scan := read("scan", 64)
 
-	gold := make([]int64, 64)
-	if err := dsp.ZigZag(freq, 8, gold); err != nil {
-		t.Fatal(err)
-	}
+	gold := goldenZigZag(freq, 8)
 	for i := range gold {
 		if scan[i] != gold[i] {
-			t.Fatalf("scan[%d]: interpreter %d vs dsp.ZigZag %d", i, scan[i], gold[i])
+			t.Fatalf("scan[%d]: interpreter %d vs golden zig-zag %d", i, scan[i], gold[i])
 		}
 	}
+}
+
+// goldenZigZag reads the row-major n×n block in JPEG zig-zag order: each
+// anti-diagonal s in turn, walking up-right when s is even and down-left
+// when it is odd.
+func goldenZigZag(block []int64, n int) []int64 {
+	out := make([]int64, 0, n*n)
+	for s := 0; s < 2*n-1; s++ {
+		if s%2 == 0 {
+			for r, c := min(s, n-1), s-min(s, n-1); r >= 0 && c < n; r, c = r-1, c+1 {
+				out = append(out, block[r*n+c])
+			}
+		} else {
+			for c, r := min(s, n-1), s-min(s, n-1); c >= 0 && r < n; r, c = r+1, c-1 {
+				out = append(out, block[r*n+c])
+			}
+		}
+	}
+	return out
 }

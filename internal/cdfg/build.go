@@ -99,30 +99,6 @@ func Build(info *cprog.Info, fn string, opt Options) (*Graph, error) {
 	return &Graph{Fn: fn, Root: root, Nodes: b.nodes, Calls: b.calls}, nil
 }
 
-// SoftwareCost estimates the pure-software execution time (cycles) of one
-// invocation of fn — the T_SW of the paper's gain equations.
-func SoftwareCost(info *cprog.Info, fn string, opt Options) (int64, error) {
-	fd := info.File.Func(fn)
-	if fd == nil {
-		return 0, fmt.Errorf("cdfg: unknown function %q", fn)
-	}
-	if opt.DefaultTrips <= 0 {
-		opt.DefaultTrips = 8
-	}
-	b := &builder{info: info, opt: opt, summaries: map[string]*Summary{}, swCost: map[string]int64{}}
-	return b.funcCost(fn), nil
-}
-
-// Summarize exposes the effect summary of fn (globals touched and
-// parameters read/written, transitively through callees).
-func Summarize(info *cprog.Info, fn string) (*Summary, error) {
-	if info.File.Func(fn) == nil {
-		return nil, fmt.Errorf("cdfg: unknown function %q", fn)
-	}
-	b := &builder{info: info, summaries: map[string]*Summary{}, swCost: map[string]int64{}}
-	return b.summary(fn), nil
-}
-
 // ---- effect summaries -------------------------------------------------
 
 func (b *builder) summary(fn string) *Summary {

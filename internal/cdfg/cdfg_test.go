@@ -266,6 +266,31 @@ int top(int n) {
 	}
 }
 
+// softwareCost is the pure-software cycle estimate of one invocation of
+// fn (the T_SW of the paper's gain equations), read through the
+// builder's funcCost.
+func softwareCost(info *cprog.Info, fn string) int64 {
+	b := &builder{info: info, opt: DefaultOptions(), summaries: map[string]*Summary{}, swCost: map[string]int64{}}
+	return b.funcCost(fn)
+}
+
+// summarize is fn's effect summary: the globals it touches and the
+// parameters it reads and writes, transitively through its callees.
+func summarize(info *cprog.Info, fn string) *Summary {
+	b := &builder{info: info, summaries: map[string]*Summary{}, swCost: map[string]int64{}}
+	return b.summary(fn)
+}
+
+// pathCost sums a path's Freq-weighted node costs: the software time of
+// one run of the function down that path.
+func pathCost(p Path) int64 {
+	var t int64
+	for _, n := range p {
+		t += n.Cost * n.Freq
+	}
+	return t
+}
+
 func TestSoftwareCostScalesWithWork(t *testing.T) {
 	f, err := cprog.Parse(dspLib + "int top() { return fir(xin, h, yout); }")
 	if err != nil {
@@ -275,14 +300,7 @@ func TestSoftwareCostScalesWithWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cFir, err := SoftwareCost(info, "fir", DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cTop, err := SoftwareCost(info, "top", DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cFir, cTop := softwareCost(info, "fir"), softwareCost(info, "top")
 	if cFir <= 0 {
 		t.Fatalf("fir cost = %d", cFir)
 	}
@@ -293,10 +311,7 @@ func TestSoftwareCostScalesWithWork(t *testing.T) {
 
 func TestSummaries(t *testing.T) {
 	_, info := build(t, dspLib+`int top() { return fir(xin, h, yout); }`, "top")
-	s, err := Summarize(info, "fir")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := summarize(info, "fir")
 	if !s.ParamRead[0] || !s.ParamRead[1] {
 		t.Errorf("fir should read params 0 and 1: %+v", s)
 	}
@@ -308,12 +323,9 @@ func TestSummaries(t *testing.T) {
 	}
 
 	// Transitive: top reads/writes globals through fir's args.
-	st, err := Summarize(info, "top")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := summarize(info, "top")
 	if !st.ReadsGlobals["xin"] || !st.WritesGlobals["yout"] {
-		t.Errorf("top summary = reads %v writes %v", sortedVars(st.ReadsGlobals), sortedVars(st.WritesGlobals))
+		t.Errorf("top summary = reads %v writes %v", st.ReadsGlobals, st.WritesGlobals)
 	}
 }
 
@@ -339,7 +351,7 @@ int top(int m1, int m2) {
 		}
 	}
 	for _, p := range paths {
-		if PathCost(p) <= 0 {
+		if pathCost(p) <= 0 {
 			t.Error("path with non-positive cost")
 		}
 	}

@@ -19,7 +19,6 @@ package cdfg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -252,14 +251,4 @@ func (g *Graph) String() string {
 	}
 	walk(g.Root, 0)
 	return b.String()
-}
-
-// sortedVars renders an effect set deterministically (used in tests).
-func sortedVars(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -146,13 +146,3 @@ func (g *Graph) PathGainDemand(maxPaths int) [][]*Node {
 	}
 	return out
 }
-
-// PathCost sums Freq-weighted node costs of a path: the software
-// execution time of one run of the function down that path.
-func PathCost(p Path) int64 {
-	var t int64
-	for _, n := range p {
-		t += n.Cost * n.Freq
-	}
-	return t
-}

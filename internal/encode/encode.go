@@ -327,18 +327,10 @@ func (st *SymTab) Intern(sym string) int {
 	return len(st.Syms) - 1
 }
 
-// Lookup returns the symbol at index i.
-func (st *SymTab) Lookup(i int) (string, bool) {
-	if i < 0 || i >= len(st.Syms) {
-		return "", false
-	}
-	return st.Syms[i], true
-}
-
 // PackWord bit-packs one µ-word into uint64 limbs (presence mask in the
 // first limb, then 58-bit fields in field order). It is the bit-exact
-// µ-ROM layout; UnpackWord inverts it. Sequencer symbols are interned
-// through st.
+// µ-ROM layout, and the tests' UnpackWord inverts it. Sequencer symbols
+// are interned through st.
 func PackWord(w *mop.Word, st *SymTab) []uint64 {
 	var mask uint64
 	var fields []uint64
@@ -363,39 +355,6 @@ func PackWord(w *mop.Word, st *SymTab) []uint64 {
 	return out
 }
 
-// UnpackWord inverts PackWord, resolving sequencer symbols through st.
-func UnpackWord(limbs []uint64, st *SymTab) (mop.Word, error) {
-	var w mop.Word
-	if len(limbs) == 0 {
-		return w, fmt.Errorf("encode: empty µ-word")
-	}
-	mask := limbs[0]
-	li := 1
-	for f := mop.Field(0); f < mop.NumFields; f++ {
-		if mask&(1<<uint(f)) == 0 {
-			continue
-		}
-		if li >= len(limbs) {
-			return w, fmt.Errorf("encode: truncated µ-word")
-		}
-		op, err := unpackMOP(limbs[li])
-		if err != nil {
-			return w, err
-		}
-		if f == mop.FieldSeq && op.Op != mop.RET {
-			sym, ok := st.Lookup(int(op.Imm))
-			if !ok {
-				return w, fmt.Errorf("encode: symbol index %d out of range", op.Imm)
-			}
-			op.Sym = sym
-			op.Imm = 0
-		}
-		w.Ops[f] = op
-		li++
-	}
-	return w, nil
-}
-
 // packMOP packs one µ-operation: op(6) dst(7) srcA(7) srcB(7) abs(1)
 // imm(30, offset-binary ±2^29).
 func packMOP(m *mop.MOP) uint64 {
@@ -416,16 +375,4 @@ func packMOP(m *mop.MOP) uint64 {
 	}
 	enc |= uint64(imm) << 28
 	return enc
-}
-
-func unpackMOP(enc uint64) (*mop.MOP, error) {
-	const immBias = 1 << 29
-	m := &mop.MOP{}
-	m.Op = mop.Opcode(enc & 0x3f)
-	m.Dst = mop.Reg(int64(enc>>6&0x7f) - 1)
-	m.SrcA = mop.Reg(int64(enc>>13&0x7f) - 1)
-	m.SrcB = mop.Reg(int64(enc>>20&0x7f) - 1)
-	m.Abs = enc>>27&1 == 1
-	m.Imm = int64(enc>>28) - immBias
-	return m, nil
 }

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -286,4 +287,58 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := Build(prog, bad, nil); err == nil {
 		t.Error("unknown function accepted")
 	}
+}
+
+// Lookup returns the symbol at index i.
+func (st *SymTab) Lookup(i int) (string, bool) {
+	if i < 0 || i >= len(st.Syms) {
+		return "", false
+	}
+	return st.Syms[i], true
+}
+
+// UnpackWord inverts PackWord, resolving sequencer symbols through st.
+func UnpackWord(limbs []uint64, st *SymTab) (mop.Word, error) {
+	var w mop.Word
+	if len(limbs) == 0 {
+		return w, fmt.Errorf("encode: empty µ-word")
+	}
+	mask := limbs[0]
+	li := 1
+	for f := mop.Field(0); f < mop.NumFields; f++ {
+		if mask&(1<<uint(f)) == 0 {
+			continue
+		}
+		if li >= len(limbs) {
+			return w, fmt.Errorf("encode: truncated µ-word")
+		}
+		op, err := unpackMOP(limbs[li])
+		if err != nil {
+			return w, err
+		}
+		if f == mop.FieldSeq && op.Op != mop.RET {
+			sym, ok := st.Lookup(int(op.Imm))
+			if !ok {
+				return w, fmt.Errorf("encode: symbol index %d out of range", op.Imm)
+			}
+			op.Sym = sym
+			op.Imm = 0
+		}
+		w.Ops[f] = op
+		li++
+	}
+	return w, nil
+}
+
+// unpackMOP inverts packMOP.
+func unpackMOP(enc uint64) (*mop.MOP, error) {
+	const immBias = 1 << 29
+	m := &mop.MOP{}
+	m.Op = mop.Opcode(enc & 0x3f)
+	m.Dst = mop.Reg(int64(enc>>6&0x7f) - 1)
+	m.SrcA = mop.Reg(int64(enc>>13&0x7f) - 1)
+	m.SrcB = mop.Reg(int64(enc>>20&0x7f) - 1)
+	m.Abs = enc>>27&1 == 1
+	m.Imm = int64(enc>>28) - immBias
+	return m, nil
 }

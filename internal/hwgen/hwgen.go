@@ -171,7 +171,7 @@ func DecodeUnit(im *encode.Image) string {
 	b.WriteString("    output wire [29:0] opcode,\n")
 	fmt.Fprintf(&b, "    output reg  [15:0] urom_addr,   // %d dictionary words\n", im.UniqueWords)
 	fmt.Fprintf(&b, "    output reg  [7:0]  urom_len,\n")
-	fmt.Fprintf(&b, "    output reg  [%d:0]  s_start      // one-hot interface start\n", maxInt(len(im.SRoutines)-1, 0))
+	fmt.Fprintf(&b, "    output reg  [%d:0]  s_start      // one-hot interface start\n", max(len(im.SRoutines)-1, 0))
 	b.WriteString(");\n\n")
 	b.WriteString("  assign class_bits = instr[31:30];\n")
 	b.WriteString("  assign opcode     = instr[29:0];\n\n")
@@ -201,13 +201,6 @@ func DecodeUnit(im *encode.Image) string {
 	b.WriteString("  end\n\n")
 	b.WriteString("endmodule\n")
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // System renders the full generated hardware of a configuration: one

@@ -55,14 +55,14 @@ func TestCandidateGridInvariants(t *testing.T) {
 									t.Fatalf("case %d %v: parallel credit on unbuffered type", id, c.Type)
 								}
 								if c.Type.SupportsParallel() {
-									want := c.TIFIn + max64(c.TIP, c.TB) + c.TIFOut - c.TCUsed
+									want := c.TIFIn + max(c.TIP, c.TB) + c.TIFOut - c.TCUsed
 									if c.Exec != want {
 										t.Fatalf("case %d %v: exec %d != equation %d", id, c.Type, c.Exec, want)
 									}
 									if c.TCUsed > c.TIP || c.TCUsed > s.TC {
 										t.Fatalf("case %d %v: TCUsed %d exceeds MIN(TIP=%d, TC=%d)", id, c.Type, c.TCUsed, c.TIP, s.TC)
 									}
-								} else if c.Exec != max64(c.TIP, c.TIF) {
+								} else if c.Exec != max(c.TIP, c.TIF) {
 									t.Fatalf("case %d %v: exec %d != MAX(TIP=%d, TIF=%d)", id, c.Type, c.Exec, c.TIP, c.TIF)
 								}
 							}

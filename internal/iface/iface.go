@@ -96,20 +96,6 @@ func pairs(n int) int64 {
 	return int64((n + 1) / 2)
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Candidates enumerates every feasible interface type for attaching
 // block b under the given invocation shape, with areas computed from the
 // generated controller artifacts under the area model.
@@ -149,7 +135,7 @@ func Plan(t Type, b *ip.IP, s Shape, am kernel.AreaModel) (Candidate, bool) {
 		}
 		c.CodeWords = tmpl.Words
 		c.TIF = tmpl.TransferCycles
-		c.Exec = max64(c.TIP, c.TIF)
+		c.Exec = max(c.TIP, c.TIF)
 		c.IfaceArea = float64(c.CodeWords)*am.PerCodeWord + ptArea + am.MuxOverhead
 	case Type1:
 		c.TIP = b.ExecCycles(s.NIn, s.NOut)
@@ -160,9 +146,9 @@ func Plan(t Type, b *ip.IP, s Shape, am kernel.AreaModel) (Candidate, bool) {
 		c.CodeWords = tmpl.Words
 		c.TIFIn = tmpl.FillCycles
 		c.TIFOut = tmpl.DrainCycles
-		c.TB = max64(int64(s.NIn)*int64(b.InRate), int64(s.NOut)*int64(b.OutRate))
-		c.TCUsed = min64(c.TIP, s.TC)
-		c.Exec = c.TIFIn + max64(c.TIP, c.TB) + c.TIFOut - c.TCUsed
+		c.TB = max(int64(s.NIn)*int64(b.InRate), int64(s.NOut)*int64(b.OutRate))
+		c.TCUsed = min(c.TIP, s.TC)
+		c.Exec = c.TIFIn + max(c.TIP, c.TB) + c.TIFOut - c.TCUsed
 		c.BufWords = s.NIn + s.NOut
 		c.IfaceArea = float64(c.CodeWords)*am.PerCodeWord +
 			float64(c.BufWords)*am.PerBufferWord + am.BufferCtlOverhead +
@@ -179,8 +165,8 @@ func Plan(t Type, b *ip.IP, s Shape, am kernel.AreaModel) (Candidate, bool) {
 		c.FSMStates = len(f.States)
 		// DMA moves up to two items per clock on each side; in and out
 		// streams overlap in the middle part of Fig. 6.
-		c.TIF = max64(pairs(s.NIn), pairs(s.NOut)) + 2
-		c.Exec = max64(c.TIP, c.TIF)
+		c.TIF = max(pairs(s.NIn), pairs(s.NOut)) + 2
+		c.Exec = max(c.TIP, c.TIF)
 		c.IfaceArea = float64(c.FSMStates)*am.PerFSMState + ptArea + am.MuxOverhead
 	case Type3:
 		c.TIP = b.ExecCycles(s.NIn, s.NOut)
@@ -191,9 +177,9 @@ func Plan(t Type, b *ip.IP, s Shape, am kernel.AreaModel) (Candidate, bool) {
 		c.FSMStates = len(f.States)
 		c.TIFIn = pairs(s.NIn) + 1
 		c.TIFOut = pairs(s.NOut) + 1
-		c.TB = max64(int64(s.NIn)*int64(b.InRate), int64(s.NOut)*int64(b.OutRate))
-		c.TCUsed = min64(c.TIP, s.TC)
-		c.Exec = c.TIFIn + max64(c.TIP, c.TB) + c.TIFOut - c.TCUsed
+		c.TB = max(int64(s.NIn)*int64(b.InRate), int64(s.NOut)*int64(b.OutRate))
+		c.TCUsed = min(c.TIP, s.TC)
+		c.Exec = c.TIFIn + max(c.TIP, c.TB) + c.TIFOut - c.TCUsed
 		c.BufWords = s.NIn + s.NOut
 		c.IfaceArea = float64(c.FSMStates)*am.PerFSMState +
 			float64(c.BufWords)*am.PerBufferWord + am.BufferCtlOverhead +

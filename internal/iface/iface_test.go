@@ -91,13 +91,13 @@ func TestExecTimeEquations(t *testing.T) {
 	s := shape()
 
 	c0, _ := Plan(Type0, b, s, am)
-	if c0.Exec != max64(c0.TIP, c0.TIF) {
+	if c0.Exec != max(c0.TIP, c0.TIF) {
 		t.Errorf("type 0 exec = %d, want MAX(TIP=%d, TIF=%d)", c0.Exec, c0.TIP, c0.TIF)
 	}
 
 	s.TC = 0
 	c1, _ := Plan(Type1, b, s, am)
-	want := c1.TIFIn + max64(c1.TIP, c1.TB) + c1.TIFOut
+	want := c1.TIFIn + max(c1.TIP, c1.TB) + c1.TIFOut
 	if c1.Exec != want {
 		t.Errorf("type 1 exec = %d, want %d", c1.Exec, want)
 	}

@@ -109,12 +109,12 @@ func type0Template(b *ip.IP, s Shape) *Template {
 		depth = (int64(b.Latency) + int64(b.InRate) - 1) / int64(b.InRate)
 	}
 	pin, pout := pairs(s.NIn), pairs(s.NOut)
-	fillIters := min64(depth, pin)
-	mainIters := max64(pin, pout) - fillIters
+	fillIters := min(depth, pin)
+	mainIters := max(pin, pout) - fillIters
 	if mainIters < 0 {
 		mainIters = 0
 	}
-	drainIters := min64(depth, pout)
+	drainIters := min(depth, pout)
 
 	// A rate slower than the 4-cycle template adds NOP padding cycles
 	// per iteration (Section 3, type 0).

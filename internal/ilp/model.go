@@ -166,12 +166,6 @@ func NewModel() *Model {
 	return &Model{}
 }
 
-// NumVars reports the number of variables added so far.
-func (m *Model) NumVars() int { return len(m.vars) }
-
-// NumConstraints reports the number of constraint rows added so far.
-func (m *Model) NumConstraints() int { return len(m.cons) }
-
 // AddVar adds a continuous variable with bounds [lo, hi] (hi may be
 // math.Inf(1)) and the given objective coefficient.
 func (m *Model) AddVar(name string, lo, hi, obj float64) VarID {
@@ -271,68 +265,12 @@ func (s *Solution) Gap() float64 {
 	return math.Inf(1)
 }
 
-// Value returns the solved value of v.
-func (s *Solution) Value(v VarID) float64 { return s.Values[v] }
-
 // IsSet reports whether binary variable v is 1 in the solution (within
 // integer tolerance).
 func (s *Solution) IsSet(v VarID) bool { return s.Values[v] > 0.5 }
 
 // ErrNoVariables is returned when solving an empty model.
 var ErrNoVariables = errors.New("ilp: model has no variables")
-
-// Check verifies that a solution satisfies every constraint, bound, and
-// integrality requirement of the model within tol, and that the reported
-// objective matches the assignment. It covers both Optimal and Feasible
-// (anytime) solutions and returns nil for the other statuses (there is
-// nothing to check).
-func (m *Model) Check(s *Solution, tol float64) error {
-	if s == nil {
-		return errors.New("ilp: nil solution")
-	}
-	if s.Status != Optimal && s.Status != Feasible {
-		return nil
-	}
-	if len(s.Values) != len(m.vars) {
-		return fmt.Errorf("ilp: solution has %d values for %d variables", len(s.Values), len(m.vars))
-	}
-	obj := 0.0
-	for j, v := range m.vars {
-		x := s.Values[j]
-		if x < v.lo-tol || x > v.hi+tol {
-			return fmt.Errorf("ilp: %s = %g violates bounds [%g, %g]", v.name, x, v.lo, v.hi)
-		}
-		if v.integer && math.Abs(x-math.Round(x)) > tol {
-			return fmt.Errorf("ilp: %s = %g is not integral", v.name, x)
-		}
-		obj += v.obj * x
-	}
-	if math.Abs(obj-s.Objective) > tol*(1+math.Abs(obj)) {
-		return fmt.Errorf("ilp: reported objective %g differs from recomputed %g", s.Objective, obj)
-	}
-	for _, c := range m.cons {
-		sum := 0.0
-		for _, t := range c.terms {
-			sum += t.Coef * s.Values[t.Var]
-		}
-		scale := 1 + math.Abs(c.rhs)
-		switch c.rel {
-		case LE:
-			if sum > c.rhs+tol*scale {
-				return fmt.Errorf("ilp: constraint %q violated: %g > %g", c.name, sum, c.rhs)
-			}
-		case GE:
-			if sum < c.rhs-tol*scale {
-				return fmt.Errorf("ilp: constraint %q violated: %g < %g", c.name, sum, c.rhs)
-			}
-		case EQ:
-			if math.Abs(sum-c.rhs) > tol*scale {
-				return fmt.Errorf("ilp: constraint %q violated: %g != %g", c.name, sum, c.rhs)
-			}
-		}
-	}
-	return nil
-}
 
 // String renders the model in an LP-file-like format, for debugging and
 // golden tests.

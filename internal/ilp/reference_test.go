@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +10,59 @@ import (
 
 	"partita/internal/budget"
 )
+
+// Check is the tests' feasibility checker. It verifies that a solution
+// satisfies every constraint, bound and integrality requirement of the
+// model within tol, and that the reported objective matches the
+// assignment. It covers both Optimal and Feasible (anytime) solutions and
+// returns nil for the other statuses (there is nothing to check).
+func (m *Model) Check(s *Solution, tol float64) error {
+	if s == nil {
+		return errors.New("ilp: nil solution")
+	}
+	if s.Status != Optimal && s.Status != Feasible {
+		return nil
+	}
+	if len(s.Values) != len(m.vars) {
+		return fmt.Errorf("ilp: solution has %d values for %d variables", len(s.Values), len(m.vars))
+	}
+	obj := 0.0
+	for j, v := range m.vars {
+		x := s.Values[j]
+		if x < v.lo-tol || x > v.hi+tol {
+			return fmt.Errorf("ilp: %s = %g violates bounds [%g, %g]", v.name, x, v.lo, v.hi)
+		}
+		if v.integer && math.Abs(x-math.Round(x)) > tol {
+			return fmt.Errorf("ilp: %s = %g is not integral", v.name, x)
+		}
+		obj += v.obj * x
+	}
+	if math.Abs(obj-s.Objective) > tol*(1+math.Abs(obj)) {
+		return fmt.Errorf("ilp: reported objective %g differs from recomputed %g", s.Objective, obj)
+	}
+	for _, c := range m.cons {
+		sum := 0.0
+		for _, t := range c.terms {
+			sum += t.Coef * s.Values[t.Var]
+		}
+		scale := 1 + math.Abs(c.rhs)
+		switch c.rel {
+		case LE:
+			if sum > c.rhs+tol*scale {
+				return fmt.Errorf("ilp: constraint %q violated: %g > %g", c.name, sum, c.rhs)
+			}
+		case GE:
+			if sum < c.rhs-tol*scale {
+				return fmt.Errorf("ilp: constraint %q violated: %g < %g", c.name, sum, c.rhs)
+			}
+		case EQ:
+			if math.Abs(sum-c.rhs) > tol*scale {
+				return fmt.Errorf("ilp: constraint %q violated: %g != %g", c.name, sum, c.rhs)
+			}
+		}
+	}
+	return nil
+}
 
 // referenceLP solves the LP relaxation of m (integrality ignored) the
 // textbook way, sharing no code with solveRelaxation or iterate. Every

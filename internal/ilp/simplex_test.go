@@ -30,8 +30,8 @@ func TestLPSimpleMax(t *testing.T) {
 	if !almost(s.Objective, -36, 1e-6) {
 		t.Errorf("objective = %g, want -36", s.Objective)
 	}
-	if !almost(s.Value(x), 2, 1e-6) || !almost(s.Value(y), 6, 1e-6) {
-		t.Errorf("x=%g y=%g, want 2, 6", s.Value(x), s.Value(y))
+	if !almost(s.Values[x], 2, 1e-6) || !almost(s.Values[y], 6, 1e-6) {
+		t.Errorf("x=%g y=%g, want 2, 6", s.Values[x], s.Values[y])
 	}
 }
 
@@ -53,8 +53,8 @@ func TestLPMinWithGE(t *testing.T) {
 	if !almost(s.Objective, 20, 1e-6) {
 		t.Errorf("objective = %g, want 20", s.Objective)
 	}
-	if !almost(s.Value(x), 10, 1e-6) {
-		t.Errorf("x = %g, want 10", s.Value(x))
+	if !almost(s.Values[x], 10, 1e-6) {
+		t.Errorf("x = %g, want 10", s.Values[x])
 	}
 }
 
@@ -72,8 +72,8 @@ func TestLPEquality(t *testing.T) {
 	if s.Status != Optimal || !almost(s.Objective, 4, 1e-6) {
 		t.Fatalf("status=%v obj=%g, want optimal 4", s.Status, s.Objective)
 	}
-	if !almost(s.Value(x), 2, 1e-6) || !almost(s.Value(y), 2, 1e-6) {
-		t.Errorf("x=%g y=%g, want 2, 2", s.Value(x), s.Value(y))
+	if !almost(s.Values[x], 2, 1e-6) || !almost(s.Values[y], 2, 1e-6) {
+		t.Errorf("x=%g y=%g, want 2, 2", s.Values[x], s.Values[y])
 	}
 }
 
@@ -324,8 +324,8 @@ func TestLPShiftedLowerBounds(t *testing.T) {
 	if s.Status != Optimal || !almost(s.Objective, 12, 1e-6) {
 		t.Fatalf("status=%v obj=%g, want optimal 12", s.Status, s.Objective)
 	}
-	if s.Value(x) < 5-1e-9 || s.Value(x) > 10+1e-9 || s.Value(y) < 3-1e-9 {
-		t.Errorf("solution violates bounds: x=%g y=%g", s.Value(x), s.Value(y))
+	if s.Values[x] < 5-1e-9 || s.Values[x] > 10+1e-9 || s.Values[y] < 3-1e-9 {
+		t.Errorf("solution violates bounds: x=%g y=%g", s.Values[x], s.Values[y])
 	}
 }
 

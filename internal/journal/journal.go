@@ -492,9 +492,6 @@ func (j *Journal) Compactions() uint64 {
 	return j.compacted
 }
 
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close syncs and closes the file. Further appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

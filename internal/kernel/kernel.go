@@ -85,25 +85,3 @@ func DefaultArea() AreaModel {
 		MuxOverhead:       0.5,
 	}
 }
-
-// Kernel describes the fixed core configuration.
-type Kernel struct {
-	Cost CostModel
-	Area AreaModel
-	// XWords and YWords are the data-memory sizes.
-	XWords, YWords int
-	// ClockMHz is the kernel clock; IPs attached through a type-0
-	// interface may need to run at an integer divisor of it.
-	ClockMHz int
-}
-
-// Default returns the reference kernel configuration.
-func Default() Kernel {
-	return Kernel{
-		Cost:     DefaultCost(),
-		Area:     DefaultArea(),
-		XWords:   65536,
-		YWords:   65536,
-		ClockMHz: 100,
-	}
-}

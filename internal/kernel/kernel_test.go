@@ -23,9 +23,8 @@ func TestBlockCyclesCountsWordsAndDivStalls(t *testing.T) {
 }
 
 func TestDefaultsSane(t *testing.T) {
-	k := Default()
-	if k.Cost.WordCycles <= 0 || k.ClockMHz <= 0 {
-		t.Errorf("bad defaults: %+v", k)
+	if c := DefaultCost(); c.WordCycles <= 0 {
+		t.Errorf("bad cost model: %+v", c)
 	}
 	a := DefaultArea()
 	if a.PerCodeWord <= 0 || a.PerFSMState <= 0 || a.PerBufferWord <= 0 {

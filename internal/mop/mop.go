@@ -137,15 +137,6 @@ func FieldOf(o Opcode) Field {
 	return FieldALU // NOP packs anywhere; by convention report ALU
 }
 
-// IsBranch reports whether o ends a basic block.
-func IsBranch(o Opcode) bool {
-	switch o {
-	case BR, BEQ, BNE, BLT, BGE, RET:
-		return true
-	}
-	return false
-}
-
 // IsConditional reports whether o is a conditional branch.
 func IsConditional(o Opcode) bool {
 	switch o {

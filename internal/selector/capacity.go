@@ -7,8 +7,11 @@ import (
 	"partita/internal/ilp"
 )
 
-// CapacityBound is an instant combinatorial lower bound on the optimal
-// area: for each path k it solves, exactly, the IP-level covering
+// CapacityWitness returns an instant combinatorial lower bound on the
+// optimal area and, when it can, a candidate selection built from the
+// bound's witness.
+//
+// The bound: for each path k it solves, exactly, the IP-level covering
 // knapsack
 //
 //	min Σ_j area_j·z_j   s.t.   Σ_j G_jk·z_j ≥ required(k),  z binary
@@ -30,13 +33,8 @@ import (
 // engine has solved a relaxation. +Inf means some path cannot reach its
 // requirement at all (the ILP is infeasible); 0 means no path demands
 // gain and the bound is vacuous.
-func (a *Analysis) CapacityBound(p Problem) float64 {
-	bound, _ := a.CapacityWitness(p)
-	return bound
-}
-
-// CapacityWitness is CapacityBound plus the bound's witness turned into
-// a candidate: the knapsack optimum's IP subset on the binding path,
+//
+// The candidate: the knapsack optimum's IP subset on the binding path,
 // instantiated with each s-call's best method among those IPs (under
 // the SC-PC conflict pairs) and re-priced exactly. When that selection
 // meets every path's requirement it is returned Feasible — often at the

@@ -23,6 +23,12 @@ import (
 // These tests pin the bound below the proven optimum across a seeded
 // synthetic corpus and check the witness prices out exactly.
 
+// CapacityBound is CapacityWitness's lower bound alone.
+func (a *Analysis) CapacityBound(p Problem) float64 {
+	bound, _ := a.CapacityWitness(p)
+	return bound
+}
+
 func capIP(id string, area float64) *ip.IP {
 	return &ip.IP{ID: id, Name: id, Area: area}
 }

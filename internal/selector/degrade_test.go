@@ -107,7 +107,7 @@ func TestSweepCtxBudgeted(t *testing.T) {
 	db := degradeDB(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	pts, err := SweepCtx(ctx, db, 5, budget.Budget{MaxNodes: 1})
+	pts, err := NewAnalysis(db).SweepPoints(ctx, 5, budget.Budget{MaxNodes: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ package selector
 // Points run strictly in ascending order, so which points are solved,
 // reused, or propagated is deterministic.
 //
-// Sweep, SweepCtx, and SweepCtxObserve are thin adapters over this
+// Analysis.SweepPoints runs an evenly spaced sweep through this
 // pipeline; the service's batch executor drives Pipeline.Next directly
 // to stream per-point results with per-point deadlines.
 

@@ -1,10 +1,8 @@
 package selector
 
 import (
-	"context"
 	"sort"
 
-	"partita/internal/budget"
 	"partita/internal/cdfg"
 	"partita/internal/ilp"
 	"partita/internal/imp"
@@ -60,37 +58,6 @@ func MaxReachablePerPath(db *imp.DB) []int64 {
 		}
 	}
 	return out
-}
-
-// Sweep solves the selection problem at `points` evenly spaced required
-// gains from 0 up to the reachable maximum, returning the achieved
-// area/gain trade-off curve. Infeasible points (possible near the top
-// under conflicts) are included with their status so callers can see
-// the feasibility edge.
-func Sweep(db *imp.DB, points int) ([]SweepPoint, error) {
-	return SweepCtx(context.Background(), db, points, budget.Budget{})
-}
-
-// SweepCtx is Sweep under a budget: the context deadline bounds the
-// whole sweep and bud applies per point. Points solved after the budget
-// expires degrade exactly like SolveCtx (anytime incumbents, then the
-// greedy heuristic), so a partial budget still yields a usable curve;
-// outright cancellation aborts with the cancellation error.
-func SweepCtx(ctx context.Context, db *imp.DB, points int, bud budget.Budget) ([]SweepPoint, error) {
-	return SweepCtxObserve(ctx, db, points, bud, nil)
-}
-
-// SweepCtxObserve is SweepCtx with an incumbent observer threaded into
-// every point's solve, so long sweeps report anytime progress (and the
-// partitad journal can checkpoint incumbents) point by point; nil
-// observe makes this identical to SweepCtx.
-//
-// This is a thin adapter over the shared-analysis lazy pipeline (see
-// pipeline.go): the program is analyzed once, and points whose answer
-// is proven by a looser point complete without solving. The returned
-// curve is in required-gain order and deterministic.
-func SweepCtxObserve(ctx context.Context, db *imp.DB, points int, bud budget.Budget, observe func(Incumbent)) ([]SweepPoint, error) {
-	return NewAnalysis(db).SweepPoints(ctx, points, bud, observe)
 }
 
 // ParetoFront filters sweep points down to the non-dominated (gain up,

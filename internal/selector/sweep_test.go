@@ -1,8 +1,10 @@
 package selector
 
 import (
+	"context"
 	"testing"
 
+	"partita/internal/budget"
 	"partita/internal/cdfg"
 	"partita/internal/iface"
 	"partita/internal/ilp"
@@ -34,7 +36,7 @@ func TestMaxReachableGain(t *testing.T) {
 
 func TestSweepShape(t *testing.T) {
 	db := sweepDB(t)
-	points, err := Sweep(db, 10)
+	points, err := NewAnalysis(db).SweepPoints(context.Background(), 10, budget.Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +86,7 @@ func TestMaxReachablePerPath(t *testing.T) {
 
 func TestParetoFront(t *testing.T) {
 	db := sweepDB(t)
-	points, err := Sweep(db, 12)
+	points, err := NewAnalysis(db).SweepPoints(context.Background(), 12, budget.Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

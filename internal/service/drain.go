@@ -28,10 +28,6 @@ func (s *Server) BeginDrain() {
 // twice is harmless.
 func (s *Server) BeginLeave() { s.leaving.Store(true) }
 
-// Draining reports whether a drain has begun (the cluster layer stops
-// forward-accepting work for a draining core).
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // drainContext presents service drain as a *deadline expiry* rather
 // than a cancellation. The distinction matters because the whole solver
 // stack (budget.Check → ilp → selector) treats context.Canceled as

@@ -111,11 +111,11 @@ func TestParallelSweepEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const points = 12
 	for name, db := range workloadTables(t) {
-		ref, err := selector.SweepCtx(ctx, db, points, Budget{})
+		ref, err := selector.NewAnalysis(db).SweepPoints(ctx, points, Budget{}, nil)
 		if err != nil {
 			t.Fatalf("%s sweep: %v", name, err)
 		}
-		got, err := selector.SweepCtx(ctx, db, points, Budget{Parallelism: 4})
+		got, err := selector.NewAnalysis(db).SweepPoints(ctx, points, Budget{Parallelism: 4}, nil)
 		if err != nil {
 			t.Fatalf("%s parallelism=4 sweep: %v", name, err)
 		}
@@ -144,7 +144,7 @@ func TestParallelSweepObserver(t *testing.T) {
 	}
 	sweep := func(bud Budget) []selector.Incumbent {
 		var events []selector.Incumbent
-		if _, err := selector.SweepCtxObserve(context.Background(), db, 8, bud, func(inc selector.Incumbent) {
+		if _, err := selector.NewAnalysis(db).SweepPoints(context.Background(), 8, bud, func(inc selector.Incumbent) {
 			events = append(events, inc)
 		}); err != nil {
 			t.Fatal(err)
