@@ -58,8 +58,8 @@ const (
 	StatusFailed  = service.StatusFailed
 
 	// ModePortfolio asks the daemon to race the capacity-bound witness,
-	// greedy and the exact solver (plus the seeded previous answer on
-	// edits) instead of running the exact solver alone.
+	// greedy and the exact solver instead of running the exact solver
+	// alone.
 	ModePortfolio = service.ModePortfolio
 )
 

@@ -47,8 +47,8 @@ func TestRunPortfolioEndToEnd(t *testing.T) {
 }
 
 // TestEditWorkflow: solve, edit, chain another edit — each derived job
-// is a portfolio solve seeded with the parent's selection whose spec
-// carries the full history, and editing an unknown job is a clean 404.
+// is a portfolio solve whose spec carries the full history, and editing
+// an unknown job is a clean 404.
 func TestEditWorkflow(t *testing.T) {
 	srv, ts := newDaemon(t, service.Config{Workers: 2})
 	c := New(ts.URL, WithJitterSeed(2))
@@ -72,9 +72,6 @@ func TestEditWorkflow(t *testing.T) {
 	sel := v.Result.Selection
 	if sel == nil || sel.Portfolio == nil {
 		t.Fatalf("edit result missing attribution: %+v", v)
-	}
-	if !sel.Portfolio.Seeded {
-		t.Error("edit job was not seeded with the parent's cached result")
 	}
 	job, ok := srv.Job(v.ID)
 	if !ok || job.Spec.Mode != ModePortfolio || job.Spec.ParentKey == "" {

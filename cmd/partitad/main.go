@@ -26,16 +26,14 @@
 // accepted for compatibility and ignored (see docs/SERVICE.md).
 //
 // Select jobs with "mode": "portfolio" race the capacity-bound
-// witness, the re-priced previous answer on edits, the greedy
-// baseline and the exact branch and bound, in that order on the job's
-// worker; the result carries per-engine attribution (winner,
-// first-acceptable gap and latency, exact confirmation). POST
+// witness, the greedy baseline and the exact branch and bound, in that
+// order on the job's worker; the result carries per-engine attribution
+// (winner, first-acceptable gap and latency, exact confirmation). POST
 // /v1/jobs/{id}/edits derives a new portfolio job from a finished
 // select job by applying interactive edits (IP areas, IMP gains,
-// required gains); the parent's cached selection, re-priced under the
-// edits, races as the seed engine's candidate. -portfolio-gap sets the
-// default acceptability threshold. See docs/SERVICE.md ("Interactive
-// edits").
+// required gains), which races on the edited problem like any other
+// portfolio job. -portfolio-gap sets the default acceptability
+// threshold. See docs/SERVICE.md ("Interactive edits").
 //
 // With -journal, the daemon is crash-safe: every accepted job is
 // recorded in an append-only, checksummed, fsync'd log before the 202

@@ -67,6 +67,97 @@ func TestNoDeadInternalFuncs(t *testing.T) {
 	}
 }
 
+// fieldExempt names the struct fields TestNoDeadInternalFields keeps
+// although no non-test code names them, each with the reason it stays.
+var fieldExempt = map[string]string{
+	"budget.Budget.Parallelism":       "deprecated and ignored; kept so existing callers still compile",
+	"service.JobSpec.Parallelism":     "deprecated and ignored; kept so existing job requests still decode",
+	"service.BatchPoint.Parallelism":  "deprecated and ignored; kept so existing batch requests still decode",
+	"service.EditRequest.Parallelism": "deprecated and ignored; kept so existing edit requests still decode",
+	"service.PortfolioInfo.Seeded":    "deprecated and always false; kept in the result schema",
+}
+
+// TestNoDeadInternalFields fails on every field of a struct declared in
+// a non-test file under internal/ that no non-test file of the module or
+// of bench/ names. A field is named by a selector, by the key of a keyed
+// literal, or by any unkeyed literal of its struct. Embedded fields are
+// not checked: their promoted fields and methods name them.
+func TestNoDeadInternalFields(t *testing.T) {
+	m := loadModule(t)
+	named := map[*types.Var]bool{}
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if v, ok := m.info.Uses[n].(*types.Var); ok && v.IsField() {
+						named[v.Origin()] = true
+					}
+				case *ast.CompositeLit:
+					if len(n.Elts) == 0 {
+						break
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); keyed {
+						break
+					}
+					typ := m.info.Types[n].Type
+					if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+						typ = ptr.Elem() // an elided &T{...}
+					}
+					if st, ok := typ.Underlying().(*types.Struct); ok {
+						for i := 0; i < st.NumFields(); i++ {
+							named[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	// fieldExempt names a field of a package-level struct type as
+	// pkg.Type.Field.
+	names := map[*types.Var]string{}
+	for path, p := range m.pkgs {
+		if !isInternal(path) {
+			continue
+		}
+		for _, name := range p.pkg.Scope().Names() {
+			if tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						names[st.Field(i)] = p.name + "." + name + "." + st.Field(i).Name()
+					}
+				}
+			}
+		}
+	}
+	var dead []*types.Var
+	exempt := 0
+	for _, obj := range m.info.Defs {
+		v, ok := obj.(*types.Var)
+		if !ok || !v.IsField() || v.Embedded() || !isInternal(v.Pkg().Path()) ||
+			strings.HasSuffix(m.fset.Position(v.Pos()).Filename, "_test.go") {
+			continue
+		}
+		if _, ok := fieldExempt[names[v]]; ok {
+			exempt++
+			if named[v] {
+				t.Errorf("%s is named now; drop it from fieldExempt", names[v])
+			}
+		} else if !named[v] {
+			dead = append(dead, v)
+		}
+	}
+	if exempt != len(fieldExempt) {
+		t.Errorf("fieldExempt names %d fields, but only %d of them are declared", len(fieldExempt), exempt)
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].Pos() < dead[j].Pos() })
+	for _, v := range dead {
+		t.Errorf("%s: field %s is named by no non-test code: delete it", m.fset.Position(v.Pos()), v.Name())
+	}
+}
+
 func isInternal(path string) bool { return strings.HasPrefix(path, "partita/internal/") }
 
 // srcPkg is one directory's Go files, split the way go test compiles them.
@@ -94,10 +185,14 @@ type module struct {
 func loadModule(t *testing.T) *module {
 	t.Helper()
 	m := &module{
-		fset:  token.NewFileSet(),
-		pkgs:  map[string]*srcPkg{},
-		std:   importer.Default(),
-		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		fset: token.NewFileSet(),
+		pkgs: map[string]*srcPkg{},
+		std:  importer.Default(),
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
 		decls: map[*types.Func]*ast.FuncDecl{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {

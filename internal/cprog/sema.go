@@ -17,7 +17,6 @@ type Symbol struct {
 	Kind  SymKind
 	Size  int  // array length (globals/locals); 0 for params and scalars
 	Bank  Bank // resolved bank for arrays
-	Fn    *FuncDecl
 	Param bool // declared as a function parameter
 }
 

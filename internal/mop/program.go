@@ -33,9 +33,6 @@ type Function struct {
 	Name   string
 	Params []string // parameter names, for diagnostics
 	Blocks []*Block
-	// FrameX and FrameY are the number of words of X/Y data memory the
-	// function's locals occupy (assigned by the lowering pass).
-	FrameX, FrameY int
 }
 
 // Block returns the block with the given label, or nil.

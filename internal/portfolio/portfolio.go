@@ -1,27 +1,22 @@
 // Package portfolio runs the selection engines over one shared
 // selector.Analysis — the covering-knapsack capacity bound's witness,
-// the previous answer on an incremental re-solve, the greedy baseline,
-// then the exact branch and bound, in that order and on the caller's
-// goroutine — and delivers the first *acceptable* answer while the
-// exact proof keeps streaming in behind it.
+// the greedy baseline, then the exact branch and bound, in that order
+// and on the caller's goroutine — and delivers the first *acceptable*
+// answer while the exact proof keeps streaming in behind it.
 //
 // Acceptability is a bound argument, not a hunch: a candidate selection
 // with area A is acceptable once the best proven lower bound L on the
-// optimal area (from the capacity bound, a carried-over floor, or the
-// exact engine's bound and incumbent stream) satisfies
-// (A − L) / max(1, A) ≤ Config.Gap. The exact engine's proof — its
-// optimum or an infeasibility proof — is always acceptable and settles
-// the race.
+// optimal area (from the capacity bound, or the exact engine's bound
+// and incumbent stream) satisfies (A − L) / max(1, A) ≤ Config.Gap. The
+// exact engine's proof — its optimum or an infeasibility proof — is
+// always acceptable and settles the race.
 //
-// Incremental re-solve (Reselect) layers a selector.Delta onto the
-// shared analysis (copy-on-write — unchanged per-path coefficient rows
-// are reused by reference). The previous Selection enters the race in
-// two ways, neither of which starts a solver from it: re-priced under
-// the edit, it races as the Seed candidate; and when it was proven
-// optimal for the problem being edited, selector.Analysis.FloorShrink
-// turns its area into a proven floor on the edited optimum. Every
-// engine still solves from scratch, so with Gap 0 the portfolio's
-// settled result is the exact solver's, byte for byte.
+// Every race, fresh or edited, solves the problem it is given from
+// scratch: an edited problem comes from selector.Analysis.Apply and
+// ApplyProblem, which share every unchanged structure with the parent
+// analysis. Prior knowledge enters a race only as the capacity bound's
+// floor, so with Gap 0 the settled result is the exact solver's, byte
+// for byte.
 package portfolio
 
 import (
@@ -43,12 +38,6 @@ const (
 	// Exact is the branch and bound: the only engine that
 	// proves optimality.
 	Exact Engine = "exact"
-	// Seed is not a solver: on an incremental re-solve it is the
-	// previous selection re-priced under the edited analysis
-	// (selector.Analysis.Evaluate) and offered before any solver has
-	// run — the designer's old answer, re-validated in microseconds. It
-	// wins only when a bound proves it acceptable.
-	Seed Engine = "seed"
 	// Capacity is the covering-knapsack bound's witness
 	// (selector.Analysis.CapacityWitness): the IP subset that proves
 	// the area floor, instantiated into a selection and offered at race
@@ -105,9 +94,6 @@ type Result struct {
 	// infeasible) — i.e. the fast answer the caller may already have
 	// acted on was right.
 	Confirmed bool
-	// Seeded reports that the race was given a previous selection (an
-	// incremental re-solve), which raced re-priced as the Seed engine.
-	Seeded bool
 }
 
 // judge holds one race's best proven lower bound and best candidate,
@@ -189,50 +175,32 @@ func (j *judge) deliver(a Answer) {
 
 // Run races the engines over an (optionally Delta-derived) analysis,
 // one after another on the caller's goroutine: the capacity bound and
-// its witness, then seed — a previous selection, when non-nil, re-priced
-// under the analysis — then greedy, then the exact solve, whose
-// incumbents and bounds reach the judge as the search finds them. Run
-// returns once the exact solve has: with its proof, its anytime
-// incumbent or the best bounded candidate when the budget or ctx ran
-// out first, or the exact engine's error when no engine produced a
-// candidate.
-func Run(ctx context.Context, an *selector.Analysis, p selector.Problem, seed *selector.Selection, cfg Config) (*Result, error) {
+// its witness, then greedy, then the exact solve, whose incumbents and
+// bounds reach the judge as the search finds them. Run returns once the
+// exact solve has: with its proof, its anytime incumbent or the best
+// bounded candidate when the budget or ctx ran out first, or the exact
+// engine's error when no engine produced a candidate.
+func Run(ctx context.Context, an *selector.Analysis, p selector.Problem, cfg Config) (*Result, error) {
 	if p.DB == nil {
 		p.DB = an.DB()
 	}
 	j := &judge{cfg: cfg, start: time.Now(), lower: math.Inf(-1)}
-	if f := p.AreaFloor(); f > 0 {
-		// An incremental re-solve's proven floor is a head start for the
-		// acceptability test: candidates are judged against it from the
-		// first microsecond.
-		j.lower = f
-	}
 	// The IP-level covering-knapsack bound (selector.CapacityWitness) is
 	// a proven area floor. Its DP keeps each row as a short step list,
 	// so it runs in tens of microseconds, before any model is built: the
-	// judge holds it from the start, and when it beats the carried-over
-	// floor it also tightens the exact engine's pass-1 cut. Valid cuts
-	// never move the optimum, so the settled result stays byte-for-byte.
-	// The bound's witness selection, when it re-prices feasible, is the
-	// first candidate — on models where the knapsack is tight, candidate
-	// and floor meet instantly and the race is won before any model is
-	// built.
+	// judge holds it from the start, and it is the exact engine's pass-1
+	// cut. Valid cuts never move the optimum, so the settled result
+	// stays byte-for-byte. The bound's witness selection, when it
+	// re-prices feasible, is the first candidate — on models where the
+	// knapsack is tight, candidate and floor meet instantly and the race
+	// is won before any model is built.
 	qb, qw := an.CapacityWitness(p)
 	if qb > 0 && !math.IsInf(qb, 0) {
 		j.raiseLower(qb)
-		if qb > p.AreaFloor() {
-			p.SetAreaFloor(qb)
-		}
+		p.SetAreaFloor(qb)
 	}
 	if qw != nil {
 		j.offer(Capacity, qw, false)
-	}
-	if seed != nil {
-		// Against a carried-over floor the re-priced previous answer is
-		// often acceptable before any solver has run.
-		if ev := an.Evaluate(p, seed); ev != nil {
-			j.offer(Seed, ev, false)
-		}
 	}
 	// Greedy's "Optimal" status only means the requirement was met;
 	// demote it before anyone can mistake it for a proof. A greedy
@@ -264,7 +232,7 @@ func Run(ctx context.Context, an *selector.Analysis, p selector.Problem, seed *s
 		j.offer(Exact, exactSel, proven)
 	}
 
-	res := &Result{Settled: time.Since(j.start), Seeded: seed != nil}
+	res := &Result{Settled: time.Since(j.start)}
 	switch {
 	case proven:
 		// The settled answer is the exact engine's, byte for byte —
@@ -318,66 +286,4 @@ func settledConfirms(r *Result) bool {
 	}
 	return r.First.Sel.Status != ilp.Infeasible &&
 		math.Abs(r.First.Sel.Area-r.Sel.Area) <= 1e-9
-}
-
-// Reselect is the incremental re-solve: apply d to the shared analysis
-// and problem (copy-on-write; unchanged coefficient rows are shared by
-// reference) and race the engines, with the previous selection
-// re-priced as the Seed candidate. It returns the race result together
-// with the derived analysis so the caller can chain further edits off
-// it. prev may be nil (a cold portfolio solve of the edited problem).
-//
-// An Optimal prev is taken as the proven optimum of p over an, and its
-// area, less what the edit can take off, becomes a floor on the edited
-// optimum. A selection proven for any other problem must not reach
-// Reselect as Optimal: pass it with another status, and it races as a
-// seed candidate only.
-func Reselect(ctx context.Context, an *selector.Analysis, prev *selector.Selection, d selector.Delta, p selector.Problem, cfg Config) (*Result, *selector.Analysis, error) {
-	na, err := an.Apply(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	orig := p
-	p, err = na.ApplyProblem(d, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	p.DB = na.DB()
-	// A proven previous optimum survives the edit as an area floor when
-	// the edit can only shrink the feasible set or shift areas: the new
-	// optimum cannot drop below prev.Area minus the total possible area
-	// decrease. The floor is both a pass-1 cut (the exact engine prunes
-	// at it) and the race's opening lower bound, against which the Seed
-	// candidate can be accepted at once. Conservatively skipped whenever a gain rose or a requirement
-	// loosened — correctness never depends on the floor being available.
-	if prev != nil && prev.Status == ilp.Optimal && prev.Degraded == "" {
-		if shrink, ok := an.FloorShrink(d); ok && !loosened(len(na.DB().Paths), orig, p) {
-			if f := prev.Area - shrink; f > 0 {
-				p.SetAreaFloor(f)
-			}
-		}
-	}
-	res, err := Run(ctx, na, p, prev, cfg)
-	if err != nil {
-		return nil, na, err
-	}
-	return res, na, nil
-}
-
-// loosened reports whether any path's effective required gain dropped
-// from old to new — the edit direction that invalidates a previous
-// optimum as a floor (a looser requirement can admit cheaper covers).
-func loosened(nPaths int, old, new selector.Problem) bool {
-	eff := func(p selector.Problem, k int) int64 {
-		if k < len(p.PerPath) && p.PerPath[k] >= 0 {
-			return p.PerPath[k]
-		}
-		return p.Required
-	}
-	for k := 0; k < nPaths; k++ {
-		if eff(new, k) < eff(old, k) {
-			return true
-		}
-	}
-	return false
 }

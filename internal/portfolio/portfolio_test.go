@@ -72,7 +72,7 @@ func TestPortfolioEquivalenceGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s rg=%d: exact: %v", tb.name, p.Required, err)
 			}
-			res, err := Run(context.Background(), an, p, nil, Config{Gap: 0})
+			res, err := Run(context.Background(), an, p, Config{Gap: 0})
 			if err != nil {
 				t.Fatalf("%s rg=%d: portfolio: %v", tb.name, p.Required, err)
 			}
@@ -148,7 +148,7 @@ func TestPortfolioFuzzCorpusEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("corpus %d rg=%d: exact: %v", c, p.Required, err)
 			}
-			res, err := Run(context.Background(), an, p, nil, Config{Gap: 0})
+			res, err := Run(context.Background(), an, p, Config{Gap: 0})
 			if err != nil {
 				t.Fatalf("corpus %d rg=%d: portfolio: %v", c, p.Required, err)
 			}
@@ -173,7 +173,7 @@ func TestPortfolioInfeasibleProof(t *testing.T) {
 	}
 	an := selector.NewAnalysis(db)
 	res, err := Run(context.Background(), an,
-		selector.Problem{Required: an.MaxGain() + 1}, nil, Config{Gap: 0})
+		selector.Problem{Required: an.MaxGain() + 1}, Config{Gap: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestPortfolioOnFirstOnce(t *testing.T) {
 		var fired atomic.Int32
 		var got Answer
 		res, err := Run(context.Background(), an,
-			selector.Problem{Required: an.MaxGain() / 2}, nil, Config{
+			selector.Problem{Required: an.MaxGain() / 2}, Config{
 				Gap: 0.25,
 				OnFirst: func(a Answer) {
 					fired.Add(1)
@@ -232,7 +232,7 @@ func TestPortfolioConfirmedOnProof(t *testing.T) {
 	}
 	an := selector.NewAnalysis(db)
 	rg := an.MaxGain() / 3
-	res, err := Run(context.Background(), an, selector.Problem{Required: rg}, nil, Config{Gap: 0.5})
+	res, err := Run(context.Background(), an, selector.Problem{Required: rg}, Config{Gap: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,10 +246,11 @@ func TestPortfolioConfirmedOnProof(t *testing.T) {
 }
 
 // TestReselectMatchesCold drives an edit chain — IP area, method gain,
-// then a requirement change — through Reselect with the previous
-// selection as the seed candidate, and checks every settled answer
-// against a cold exact solve of the same edited problem: zero
-// correctness drift, and the parent analysis is never mutated.
+// then a requirement change — through Apply, ApplyProblem and Run, each
+// edit on the analysis and problem the previous one built, as
+// Design.Reselect chains them. Every settled answer must match a cold
+// exact solve of the same edited problem, and the parent analysis is
+// never mutated.
 func TestReselectMatchesCold(t *testing.T) {
 	db, _, err := apps.GSMEncoderTable()
 	if err != nil {
@@ -259,7 +260,7 @@ func TestReselectMatchesCold(t *testing.T) {
 	rg := base.MaxGain() / 2
 	p := selector.Problem{Required: rg}
 
-	res, err := Run(context.Background(), base, p, nil, Config{Gap: 0})
+	res, err := Run(context.Background(), base, p, Config{Gap: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,61 +278,29 @@ func TestReselectMatchesCold(t *testing.T) {
 		{IMPGain: map[string]int64{db.IMPs[0].ID: db.IMPs[0].GainPerExec * 2}},
 		{Required: &newReq},
 	}
-	an, prev := base, res.Sel
+	an := base
 	for i, d := range edits {
-		r, na, err := Reselect(context.Background(), an, prev, d, p, Config{Gap: 0})
-		if err != nil {
-			t.Fatalf("edit %d: %v", i, err)
-		}
-		if !r.Seeded {
-			t.Errorf("edit %d: race not marked Seeded", i)
-		}
-		// Cold reference: same delta applied, no seed, plain exact solve.
-		refAn, err := an.Apply(d)
+		na, err := an.Apply(d)
 		if err != nil {
 			t.Fatalf("edit %d: apply: %v", i, err)
 		}
-		refP, err := refAn.ApplyProblem(d, p)
+		np, err := na.ApplyProblem(d, p)
 		if err != nil {
 			t.Fatalf("edit %d: apply problem: %v", i, err)
 		}
-		ref, err := refAn.Solve(context.Background(), refP)
+		r, err := Run(context.Background(), na, np, Config{Gap: 0})
+		if err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		ref, err := na.Solve(context.Background(), np)
 		if err != nil {
 			t.Fatalf("edit %d: cold exact: %v", i, err)
 		}
 		assertSettledMatchesExact(t, fmt.Sprintf("edit %d", i), r, ref)
-		an, prev = na, r.Sel
-		p, err = na.ApplyProblem(d, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.DB = na.DB()
+		an, p = na, np
 	}
 	if base.MaxGain() != wantMax {
 		t.Errorf("parent analysis mutated: MaxGain %d, want %d", base.MaxGain(), wantMax)
-	}
-}
-
-// TestReselectRejectsBadDelta: unknown IDs and negative values error
-// without racing anything.
-func TestReselectRejectsBadDelta(t *testing.T) {
-	db, _, err := apps.GSMEncoderTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := selector.NewAnalysis(db)
-	neg := int64(-1)
-	bad := []selector.Delta{
-		{IPArea: map[string]float64{"nope": 1}},
-		{IPArea: map[string]float64{db.IMPs[0].IP.ID: -2}},
-		{IMPGain: map[string]int64{"nope": 1}},
-		{Required: &neg},
-		{PathRequired: map[int]int64{99: 1}},
-	}
-	for i, d := range bad {
-		if _, _, err := Reselect(context.Background(), an, nil, d, selector.Problem{Required: 1}, Config{}); err == nil {
-			t.Errorf("delta %d: expected an error", i)
-		}
 	}
 }
 
@@ -372,7 +341,7 @@ func TestPortfolioSettledGapIsSound(t *testing.T) {
 			}
 			for _, b := range budgets {
 				runs++
-				res, err := Run(b.ctx, an, selector.Problem{Required: row.RG, Budget: b.bud}, nil, Config{Gap: 0.05})
+				res, err := Run(b.ctx, an, selector.Problem{Required: row.RG, Budget: b.bud}, Config{Gap: 0.05})
 				if err != nil {
 					continue
 				}

@@ -157,83 +157,6 @@ func TestCapacityBoundInfeasiblePath(t *testing.T) {
 	}
 }
 
-// TestEvaluateReprices: Evaluate re-prices a previous selection under
-// an edited analysis — fresh areas flow through, feasibility is
-// re-checked, and an edit that starves a path returns nil.
-func TestEvaluateReprices(t *testing.T) {
-	db, err := imp.NewSyntheticDB([]string{"a", "b"}, []imp.SynthIMP{
-		{SC: 1, IP: capIP("A", 10), Type: iface.Type0, Gain: 100},
-		{SC: 2, IP: capIP("B", 4), Type: iface.Type0, Gain: 80},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := NewAnalysis(db)
-	p := Problem{DB: db, Required: an.MaxGain()}
-	prev, err := an.Solve(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prev.Status != ilp.Optimal {
-		t.Fatalf("setup solve: %v", prev.Status)
-	}
-
-	// Area edit: the re-priced selection carries the new area.
-	edited, err := an.Apply(Delta{IPArea: map[string]float64{"A": 13}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := edited.Evaluate(Problem{DB: edited.DB(), Required: p.Required}, prev)
-	if ev == nil {
-		t.Fatal("area edit broke evaluation")
-	}
-	if ev.Status != ilp.Feasible {
-		t.Fatalf("status = %v, want Feasible", ev.Status)
-	}
-	if want := prev.Area + 3; math.Abs(ev.Area-want) > 1e-9 {
-		t.Fatalf("re-priced area %.3f, want %.3f", ev.Area, want)
-	}
-
-	// Gain edit that starves a path: nil, never an infeasible answer.
-	starved, err := an.Apply(Delta{IMPGain: map[string]int64{db.IMPs[0].ID: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev := starved.Evaluate(Problem{DB: starved.DB(), Required: p.Required}, prev); ev != nil {
-		t.Fatalf("starved edit still evaluated: %+v", ev)
-	}
-
-	// Foreign selection: nil.
-	if ev := an.Evaluate(p, &Selection{Chosen: []*imp.IMP{{ID: "ghost"}}}); ev != nil {
-		t.Fatal("foreign chosen set evaluated")
-	}
-}
-
-// TestFloorShrink: area decreases accumulate into the shrink, area
-// increases don't, and any gain increase forfeits the floor.
-func TestFloorShrink(t *testing.T) {
-	db, err := imp.NewSyntheticDB([]string{"a"}, []imp.SynthIMP{
-		{SC: 1, IP: capIP("A", 10), Type: iface.Type0, Gain: 100},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := NewAnalysis(db)
-
-	if s, ok := an.FloorShrink(Delta{IPArea: map[string]float64{"A": 12}}); !ok || s != 0 {
-		t.Fatalf("area increase: shrink=%v ok=%v, want 0 true", s, ok)
-	}
-	if s, ok := an.FloorShrink(Delta{IPArea: map[string]float64{"A": 7.5}}); !ok || math.Abs(s-2.5) > 1e-9 {
-		t.Fatalf("area decrease: shrink=%v ok=%v, want 2.5 true", s, ok)
-	}
-	if _, ok := an.FloorShrink(Delta{IMPGain: map[string]int64{db.IMPs[0].ID: 1000}}); ok {
-		t.Fatal("gain increase kept the floor")
-	}
-	if s, ok := an.FloorShrink(Delta{IMPGain: map[string]int64{db.IMPs[0].ID: 1}}); !ok || s != 0 {
-		t.Fatalf("gain decrease: shrink=%v ok=%v, want 0 true", s, ok)
-	}
-}
-
 // publishedTables are the paper's three tables, whose 21 rows are the
 // published requirements.
 var publishedTables = []struct {

@@ -7,18 +7,12 @@ package selector
 // rewritten. Everything untouched — the group structure, interface
 // areas, the per-path frequency matrix, and every coefficient row when
 // no gain changed — is shared with the parent analysis by reference, so
-// an edit solve re-derives nothing from the CDFG. What an edit solve
-// carries over from the previous one is a proven floor on the optimal
-// area (FloorShrink), installed with Problem.SetAreaFloor.
+// an edit solve re-derives nothing from the CDFG.
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-
-	"partita/internal/ilp"
-	"partita/internal/imp"
 )
 
 // Delta is one batch of edits to a selection problem. The zero value
@@ -173,92 +167,6 @@ func (a *Analysis) ApplyProblem(d Delta, p Problem) (Problem, error) {
 		p.PerPath = per
 	}
 	return p, nil
-}
-
-// FloorShrink reports by how much d can at most lower any selection's
-// area — the sum of per-IP area decreases, each counted once since an
-// IP's area is charged once per selection — and whether a previously
-// proven optimal area survives the edit as a lower bound at all. It
-// does not: a gain increase can enlarge the feasible set, so the old
-// optimum proves nothing and ok is false. Gain decreases and area
-// edits only shrink the feasible set or shift the area function, so
-// prevOptimalArea − shrink stays a proven floor (the caller must also
-// check that the edit does not loosen any path requirement). The
-// receiver must be the pre-edit analysis the previous optimum was
-// proven over.
-func (a *Analysis) FloorShrink(d Delta) (shrink float64, ok bool) {
-	idx := make(map[string]int, len(a.db.IMPs))
-	for i, im := range a.db.IMPs {
-		idx[im.ID] = i
-	}
-	for id, g := range d.IMPGain {
-		if i, found := idx[id]; found && g > a.gainPerExec[i] {
-			return 0, false
-		}
-	}
-	for _, id := range a.ipIDs {
-		if area, found := d.IPArea[id]; found && area < a.ipArea[id] {
-			shrink += a.ipArea[id] - area
-		}
-	}
-	return shrink, true
-}
-
-// Evaluate re-prices a previous selection's chosen set under this —
-// possibly edited — analysis and problem: the answer the designer
-// already had, with fresh areas, gains, and per-path numbers. It is
-// the zero-latency engine of an incremental re-solve: when the old
-// choice is still feasible after the edit, the racing portfolio can
-// offer it instantly and judge it against the carried-over bound while
-// the exact engines are still loading. Returns nil when the selection
-// is not from this DB or the edit broke its feasibility (requirement
-// no longer met, conflict introduced, duplicate s-call). The result is
-// Feasible, never Optimal: re-pricing proves nothing about optimality.
-func (a *Analysis) Evaluate(p Problem, sel *Selection) *Selection {
-	if p.DB == nil {
-		p.DB = a.db
-	}
-	if p.DB != a.db || sel == nil || len(sel.Chosen) == 0 {
-		return nil
-	}
-	in := &instance{Analysis: a, p: p}
-	idx := make(map[string]int, len(a.db.IMPs))
-	for i, im := range a.db.IMPs {
-		idx[im.ID] = i
-	}
-	chosen := make([]int, 0, len(sel.Chosen))
-	taken := make(map[*imp.SCall]bool, len(sel.Chosen))
-	picked := make(map[int]bool, len(sel.Chosen))
-	for _, im := range sel.Chosen {
-		i, ok := idx[im.ID]
-		if !ok || taken[a.db.IMPs[i].SC] {
-			return nil
-		}
-		taken[a.db.IMPs[i].SC] = true
-		picked[i] = true
-		chosen = append(chosen, i)
-	}
-	for _, c := range a.db.Conflicts {
-		if picked[c[0]] && picked[c[1]] {
-			return nil
-		}
-	}
-	for k := range a.db.Paths {
-		rg := in.required(k)
-		if rg <= 0 {
-			continue
-		}
-		for _, i := range chosen {
-			rg -= in.pathCoef(k, i)
-		}
-		if rg > 0 {
-			return nil
-		}
-	}
-	sort.Ints(chosen)
-	out := in.compose(chosen, 0)
-	out.Status = ilp.Feasible
-	return out
 }
 
 // Deprecated: LPRound's one caller is bench/solves.go's rootLPMs,

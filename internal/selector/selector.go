@@ -73,8 +73,8 @@ type Problem struct {
 	// areaFloor, when positive, adds the valid cut area >= areaFloor to
 	// the area-minimization pass. It only lifts the relaxation bound, so
 	// the search prunes the moment an incumbent matching the floor is
-	// found. Set through SetAreaFloor, by the portfolio's capacity bound
-	// and by incremental re-solves.
+	// found. Set through SetAreaFloor, by the portfolio's capacity
+	// bound.
 	areaFloor float64
 }
 
@@ -178,15 +178,11 @@ func groupLess(a, b group) bool {
 // SetAreaFloor installs a proven lower bound on the optimal area as a
 // valid cut of the area-minimization pass. The caller asserts the
 // proof: a floor above the true optimum makes the solve wrong, not
-// slow. Incremental re-solves derive it from the previous proven
-// optimum via Analysis.FloorShrink; the cut only lifts the relaxation
-// bound and never changes which solution is optimal, so a floored
-// solve stays byte-for-byte identical to an unfloored one.
+// slow. The portfolio installs its capacity bound this way; the cut
+// only lifts the relaxation bound and never changes which solution is
+// optimal, so a floored solve stays byte-for-byte identical to an
+// unfloored one.
 func (p *Problem) SetAreaFloor(floor float64) { p.areaFloor = floor }
-
-// AreaFloor reports the installed proven lower bound on the optimal
-// area, 0 when none.
-func (p Problem) AreaFloor() float64 { return p.areaFloor }
 
 func (in *instance) required(k int) int64 {
 	if k < len(in.p.PerPath) && in.p.PerPath[k] >= 0 {

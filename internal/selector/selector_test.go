@@ -54,8 +54,7 @@ func TestIPSharingCountedOnce(t *testing.T) {
 // every solve. Float addition is not associative (0.1+0.2+0.3 and
 // 0.3+0.2+0.1 differ in the last bit), so the IP areas and the merged
 // interface areas must be added in one fixed order, not in map order.
-// The same holds for the greedy baseline's area and for FloorShrink's
-// sum of area cuts.
+// The same holds for the greedy baseline's area.
 func TestAreaSumsInFixedOrder(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -73,8 +72,7 @@ func TestAreaSumsInFixedOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		an := NewAnalysis(db)
-		cut := Delta{IPArea: map[string]float64{"A": 0, "B": 0, "C": 0}}
-		solved, greedy, shrunk := map[uint64]float64{}, map[uint64]float64{}, map[uint64]float64{}
+		solved, greedy := map[uint64]float64{}, map[uint64]float64{}
 		for run := 0; run < 50; run++ {
 			sel, err := an.Solve(context.Background(), Problem{Required: 300})
 			if err != nil {
@@ -86,10 +84,8 @@ func TestAreaSumsInFixedOrder(t *testing.T) {
 			solved[math.Float64bits(sel.Area)] = sel.Area
 			g := an.Greedy(Problem{Required: 300})
 			greedy[math.Float64bits(g.Area)] = g.Area
-			s, _ := an.FloorShrink(cut)
-			shrunk[math.Float64bits(s)] = s
 		}
-		for what, seen := range map[string]map[uint64]float64{"solves": solved, "greedy runs": greedy, "FloorShrinks": shrunk} {
+		for what, seen := range map[string]map[uint64]float64{"solves": solved, "greedy runs": greedy} {
 			if len(seen) != 1 {
 				t.Errorf("%s: 50 %s gave %d different sums: %v", c.name, what, len(seen), seen)
 			}
@@ -277,11 +273,11 @@ func TestSolveAgainstBruteForce(t *testing.T) {
 		}
 		for _, sel := range sels {
 			if sel.Status != ilp.Optimal {
-				t.Fatalf("trial %d (floor %g): solver %v, brute force found area %g", trial, p.AreaFloor(), sel.Status, want.area)
+				t.Fatalf("trial %d (floor %g): solver %v, brute force found area %g", trial, p.areaFloor, sel.Status, want.area)
 			}
 			if math.Abs(sel.Area-want.area) > 1e-6 || sel.Gain != want.gain {
 				t.Fatalf("trial %d (floor %g, merging %t): solver area %g gain %d, brute force area %g gain %d",
-					trial, p.AreaFloor(), !p.DisableMerging, sel.Area, sel.Gain, want.area, want.gain)
+					trial, p.areaFloor, !p.DisableMerging, sel.Area, sel.Gain, want.area, want.gain)
 			}
 		}
 	}
@@ -332,21 +328,21 @@ func randomSynth(rng *rng, conflicts bool) (funcs []string, sims []imp.SynthIMP)
 }
 
 // TestAreaFloorsAgainstBruteForce checks by enumeration, on
-// TestSolveAgainstBruteForce's random instances, what the solver's area
-// floors and the sweep pipeline rest on.
+// TestSolveAgainstBruteForce's random instances, what the sweep
+// pipeline rests on, and that a solve of an edited analysis answers
+// for the edited instance.
 //
 //   - The optimal area never decreases as the requirement rises, and an
 //     infeasible requirement stays infeasible at every higher one. A
 //     sweep pipeline over those requirements, which reuses plateaus and
 //     propagates infeasibility, matches the enumeration at every point.
 //   - After a random edit of IP-area raises, IP-area cuts and IMP-gain
-//     cuts, the previous optimum less FloorShrink's shrink is at most
-//     the edited optimum, and a solve of the edited analysis under that
-//     floor matches the enumeration of the edited instance.
+//     cuts, a solve of the edited analysis (Apply) matches the
+//     enumeration of the edited instance.
 func TestAreaFloorsAgainstBruteForce(t *testing.T) {
 	ctx := context.Background()
 	rng := newRng(11)
-	var reused, infeasible, floored, lowered int
+	var reused, infeasible, edited, lowered int
 	for trial := 0; trial < 120; trial++ {
 		funcs, sims := randomSynth(rng, trial%2 == 1)
 		db, err := imp.NewSyntheticDB(funcs, sims)
@@ -397,23 +393,14 @@ func TestAreaFloorsAgainstBruteForce(t *testing.T) {
 		if !feasible {
 			continue
 		}
-		d, edited := randomEdit(rng, db, sims)
-		shrink, ok := an.FloorShrink(d)
-		if !ok {
-			continue
-		}
-		editedDB, err := imp.NewSyntheticDB(funcs, edited)
+		d, editedSims := randomEdit(rng, db, sims)
+		editedDB, err := imp.NewSyntheticDB(funcs, editedSims)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want, feasible := bruteForce(editedDB, req, merge)
 		if !feasible {
 			want.area = math.Inf(1)
-		}
-		floor := prev.area - shrink
-		if floor > want.area+1e-9 {
-			t.Fatalf("trial %d: floor %g (optimum %g less shrink %g) above the edited optimum %g, delta %+v",
-				trial, floor, prev.area, shrink, want.area, d)
 		}
 		if want.area < prev.area-1e-9 {
 			lowered++
@@ -422,27 +409,25 @@ func TestAreaFloorsAgainstBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := Problem{Required: req, DisableMerging: !merge}
-		p.SetAreaFloor(floor)
-		sel, err := na.Solve(ctx, p)
+		sel, err := na.Solve(ctx, Problem{Required: req, DisableMerging: !merge})
 		if err != nil {
 			t.Fatal(err)
 		}
-		floored++
+		edited++
 		if !feasible {
 			if sel.Status != ilp.Infeasible {
-				t.Fatalf("trial %d: floored solve %v, brute force infeasible", trial, sel.Status)
+				t.Fatalf("trial %d: edited solve %v, brute force infeasible", trial, sel.Status)
 			}
 			continue
 		}
 		if sel.Status != ilp.Optimal || math.Abs(sel.Area-want.area) > 1e-6 || sel.Gain != want.gain {
-			t.Fatalf("trial %d (floor %g, merging %t): solver %v area %g gain %d, brute force area %g gain %d",
-				trial, floor, merge, sel.Status, sel.Area, sel.Gain, want.area, want.gain)
+			t.Fatalf("trial %d (merging %t, delta %+v): solver %v area %g gain %d, brute force area %g gain %d",
+				trial, merge, d, sel.Status, sel.Area, sel.Gain, want.area, want.gain)
 		}
 	}
-	t.Logf("%d sweep points reused, %d infeasible; %d floored edits, %d of them lowering the optimum",
-		reused, infeasible, floored, lowered)
-	if reused < 200 || infeasible < 100 || floored < 60 || lowered < 20 {
+	t.Logf("%d sweep points reused, %d infeasible; %d edits solved, %d of them lowering the optimum",
+		reused, infeasible, edited, lowered)
+	if reused < 200 || infeasible < 100 || edited < 60 || lowered < 20 {
 		t.Fatalf("the trials exercise too little")
 	}
 }

@@ -66,9 +66,9 @@ type JobSpec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// Mode selects the solver strategy of a select job: "" runs the
 	// exact solver alone, ModePortfolio races the capacity-bound
-	// witness, the seeded previous answer on edits, greedy, and the
-	// exact solver, in that order, surfacing the first acceptable
-	// answer and per-engine attribution on the result.
+	// witness, greedy, and the exact solver, in that order, surfacing
+	// the first acceptable answer and per-engine attribution on the
+	// result.
 	Mode string `json:"mode,omitempty"`
 	// Gap is the portfolio acceptability threshold (relative area gap);
 	// nil takes the server's configured default, 0 accepts only proven
@@ -82,10 +82,9 @@ type JobSpec struct {
 	// it without needing the parent's in-memory state.
 	Edits []partita.Delta `json:"edits,omitempty"`
 	// ParentKey is the result key of the job this spec was derived from
-	// by an edit; the parent's cached selection, when still available,
-	// races re-priced as the portfolio's seed candidate. Part of the
-	// content address (a seed candidate can change anytime results under
-	// a budget).
+	// by an edit: the job's lineage, which chained edits and the journal
+	// carry. The solve does not read it, but it is part of the content
+	// address, so that no job's address moves.
 	ParentKey string `json:"parentKey,omitempty"`
 
 	// inheritDeadline is the remaining budget a forwarded request
@@ -292,9 +291,8 @@ func (s *JobSpec) resultKey() (string, error) {
 			"mode:"+s.Mode,
 			"gap:"+gap,
 			"edits:"+string(edits),
-			// The seed candidate a parent provides cannot change a settled
-			// proof, but under a budget the race can settle on it — so the
-			// parent is part of the content address.
+			// The parent takes no part in the solve; it stays in the
+			// content address because an address must never move.
 			"parent:"+s.ParentKey,
 		)
 	}

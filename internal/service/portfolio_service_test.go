@@ -56,20 +56,17 @@ func TestPortfolioJobMatchesExact(t *testing.T) {
 	if !info.Confirmed {
 		t.Error("gap-0 portfolio result not confirmed")
 	}
-	if info.Seeded {
-		t.Error("cold portfolio job reports a seed")
-	}
 	// The two jobs must not share a content address: mode is part of it.
 	if pf.Key == exact.Key {
 		t.Error("portfolio and exact jobs share a result key")
 	}
 }
 
-// TestEditEndpointDerivesAndSeeds: POST /v1/jobs/{id}/edits derives a
+// TestEditEndpointDerivesJob: POST /v1/jobs/{id}/edits derives a
 // self-contained portfolio job carrying the parent's history plus the
-// new edit, seeded with the parent's cached result — and its settled
-// answer matches a cold submission of the same edited spec.
-func TestEditEndpointDerivesAndSeeds(t *testing.T) {
+// new edit, and its settled answer matches a submission of the same
+// edited spec without the parent link.
+func TestEditEndpointDerivesJob(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -109,12 +106,9 @@ func TestEditEndpointDerivesAndSeeds(t *testing.T) {
 	if got == nil || got.Portfolio == nil {
 		t.Fatalf("derived job missing attribution: %+v", child.View())
 	}
-	if !got.Portfolio.Seeded {
-		t.Error("edit job with a cached parent result was not seeded")
-	}
 
 	// Cold reference: the same edited spec without the parent link must
-	// settle on the same answer (seeds never change settled proofs).
+	// settle on the same answer (the solve does not read the link).
 	cold := child.Spec
 	cold.ParentKey = ""
 	coldJob, err := s.Submit(cold)
@@ -124,7 +118,7 @@ func TestEditEndpointDerivesAndSeeds(t *testing.T) {
 	waitDone(t, coldJob)
 	ref := coldJob.Result().Selection
 	if got.Area != ref.Area || got.Gain != ref.Gain || got.Status != ref.Status {
-		t.Fatalf("seeded edit settled %s/%g/%d, cold %s/%g/%d",
+		t.Fatalf("edit settled %s/%g/%d, cold %s/%g/%d",
 			got.Status, got.Area, got.Gain, ref.Status, ref.Area, ref.Gain)
 	}
 	// And the edit must actually have changed the answer versus the

@@ -37,8 +37,7 @@ type SelectionResult struct {
 // won the race to the first acceptable answer, who produced the settled
 // result, and whether the exact proof confirmed the fast answer.
 type PortfolioInfo struct {
-	// Engine produced the settled selection (capacity, seed, greedy,
-	// exact).
+	// Engine produced the settled selection (capacity, greedy, exact).
 	Engine string `json:"engine"`
 	// Gap is the settled proven relative area gap (0 when proven, -1
 	// when no finite bound is known).
@@ -55,8 +54,10 @@ type PortfolioInfo struct {
 	// Confirmed reports that the race settled with a proof agreeing
 	// with the first answer.
 	Confirmed bool `json:"confirmed"`
-	// Seeded reports an incremental re-solve whose race had the parent's
-	// selection as its seed candidate.
+	// Seeded is always false, and so left out of results.
+	//
+	// Deprecated: no race is given a previous selection; kept in the
+	// result schema so existing clients still decode.
 	Seeded bool `json:"seeded,omitempty"`
 }
 
@@ -86,7 +87,6 @@ func NewPortfolioSelectionResult(r *partita.PortfolioResult) *SelectionResult {
 		FirstMs:     float64(r.First.Microseconds()) / 1e3,
 		SettleMs:    float64(r.Settled.Microseconds()) / 1e3,
 		Confirmed:   r.Confirmed,
-		Seeded:      r.Seeded,
 	}
 	if r.FirstSel != nil {
 		info.FirstArea = r.FirstSel.Area

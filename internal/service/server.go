@@ -577,11 +577,8 @@ func (s *Server) execute(job *Job) (*JobResult, string, error) {
 }
 
 // executePortfolio runs one portfolio-mode select job: fold the spec's
-// edit history into one delta, rebuild the parent's selection from its
-// cached result when one is named and still available, and race the
-// engines with it as the seed candidate. Correctness never depends on
-// the seed: a missing or stale parent result only loses that
-// candidate.
+// edit history into one delta and race the engines on the edited
+// problem.
 func (s *Server) executePortfolio(ctx context.Context, job *Job, design *partita.Design, bud partita.Budget) (*JobResult, string, error) {
 	spec := job.Spec
 	gap := s.cfg.PortfolioGap
@@ -593,7 +590,6 @@ func (s *Server) executePortfolio(ctx context.Context, job *Job, design *partita
 		Budget:  bud,
 		PerPath: spec.PerPath,
 		Observe: s.observeJob(job),
-		Warm:    s.parentSeed(design, spec.ParentKey),
 	}
 	delta := partita.Delta{}
 	for _, e := range spec.Edits {
@@ -609,36 +605,6 @@ func (s *Server) executePortfolio(ctx context.Context, job *Job, design *partita
 	}
 	s.metrics.PortfolioWin(string(res.FirstEngine), res.First.Seconds())
 	return &JobResult{Kind: spec.Kind, Selection: NewPortfolioSelectionResult(res)}, Outcome(res.Sel), nil
-}
-
-// parentSeed rebuilds the seed candidate's selection from the parent
-// job's cached result: its chosen IMP IDs resolved against this design's
-// database. Returns nil — no seed — when the parent's result is gone
-// from every cache or references methods this design does not have.
-func (s *Server) parentSeed(design *partita.Design, parentKey string) *partita.Selection {
-	if parentKey == "" {
-		return nil
-	}
-	res, ok := s.CachedResult(parentKey)
-	if !ok && s.cfg.RemoteLookup != nil {
-		res, ok = s.cfg.RemoteLookup(parentKey)
-	}
-	if !ok || res == nil || res.Selection == nil || len(res.Selection.Chosen) == 0 {
-		return nil
-	}
-	byID := make(map[string]*partita.IMP, len(design.DB.IMPs))
-	for _, m := range design.DB.IMPs {
-		byID[m.ID] = m
-	}
-	sel := &partita.Selection{Status: partita.Feasible}
-	for _, c := range res.Selection.Chosen {
-		m, ok := byID[c.ID]
-		if !ok {
-			return nil
-		}
-		sel.Chosen = append(sel.Chosen, m)
-	}
-	return sel
 }
 
 // observeJob folds solver incumbents into the job's poll snapshot and,
@@ -776,8 +742,7 @@ type EditRequest struct {
 // edits to its spec. The derived spec is self-contained — the parent's
 // full edit history plus the new edits ride along — so it journals,
 // replays, and content-addresses like any other submission; the parent
-// link only supplies the portfolio's seed candidate (and is part of the
-// content address).
+// link records the job's lineage and is part of the content address.
 func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	parent, ok := s.Job(r.PathValue("id"))
 	if !ok {

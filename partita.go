@@ -305,8 +305,8 @@ type Delta = selector.Delta
 // PortfolioEngine names one engine of the racing solver portfolio.
 type PortfolioEngine = portfolio.Engine
 
-// Portfolio engines. A race also reports the "capacity" and "seed"
-// engines (see SelectPortfolio).
+// Portfolio engines. A race also reports the "capacity" engine (see
+// SelectPortfolio).
 const (
 	// EngineGreedy is the gain/area-ratio baseline: microseconds, no
 	// proof, no bound.
@@ -339,11 +339,11 @@ type PortfolioOptions struct {
 	// PerPath carries per-execution-path requirements (indexed like
 	// DB.Paths; entries < 0 fall back to the uniform requirement).
 	PerPath []int64
-	// Warm, when non-nil, is a previous selection that races re-priced
-	// under the problem as the seed engine's candidate; no solver starts
-	// from it and no bound is taken from it, so it cannot change a
-	// proven answer. For Reselect it replaces prev's settled selection
-	// as the seed, and prev's optimum then gives no floor.
+	// Warm is ignored.
+	//
+	// Deprecated: a race no longer offers a previous selection as a
+	// "seed" candidate. On the benchmark's service mix that candidate
+	// won no race, and it never changed a settled answer.
 	Warm *Selection
 	// Observe, when non-nil, streams the exact engine's anytime
 	// incumbents under the SelectCtxObserve contract.
@@ -382,9 +382,10 @@ type PortfolioResult struct {
 	// with the first answer — the result a caller already acted on was
 	// right.
 	Confirmed bool
-	// Seeded reports that the race was given a previous selection (an
-	// incremental re-solve or Warm), which raced re-priced as the seed
-	// engine's candidate.
+	// Seeded is always false.
+	//
+	// Deprecated: no race is given a previous selection (see
+	// PortfolioOptions.Warm).
 	Seeded bool
 
 	// Chaining state for Reselect: the (possibly Delta-derived)
@@ -405,7 +406,6 @@ func wrapPortfolio(r *portfolio.Result, an *selector.Analysis, p selector.Proble
 		First:       r.First.Elapsed,
 		Settled:     r.Settled,
 		Confirmed:   r.Confirmed,
-		Seeded:      r.Seeded,
 		an:          an,
 		required:    p.Required,
 		perPath:     p.PerPath,
@@ -414,18 +414,17 @@ func wrapPortfolio(r *portfolio.Result, an *selector.Analysis, p selector.Proble
 
 // SelectPortfolio races the selection engines over the Design's shared
 // analysis, in order on the calling goroutine: the covering-knapsack
-// capacity bound and its witness ("capacity"), opt.Warm re-priced
-// ("seed", when set), the greedy baseline, then the exact branch and
-// bound. It delivers the first *acceptable* answer (feasible, with a
-// proven relative area gap ≤ opt.Gap) through opt.OnFirst while the
-// exact search keeps running behind it; the exact engine's proof — its
-// optimum or an infeasibility proof — settles the race. With Gap 0 the
-// settled result is identical to SelectCtx's.
+// capacity bound and its witness ("capacity"), the greedy baseline,
+// then the exact branch and bound. It delivers the first *acceptable*
+// answer (feasible, with a proven relative area gap ≤ opt.Gap) through
+// opt.OnFirst while the exact search keeps running behind it; the exact
+// engine's proof — its optimum or an infeasibility proof — settles the
+// race. With Gap 0 the settled result is identical to SelectCtx's.
 func (d *Design) SelectPortfolio(ctx context.Context, requiredGain int64, opt PortfolioOptions) (res *PortfolioResult, err error) {
 	defer guard(&err)
 	an := d.selAnalysis()
 	p := selector.Problem{DB: d.DB, Required: requiredGain, PerPath: opt.PerPath, Budget: opt.Budget}
-	r, err := portfolio.Run(ctx, an, p, opt.Warm, portfolio.Config{
+	r, err := portfolio.Run(ctx, an, p, portfolio.Config{
 		Gap: opt.Gap, OnIncumbent: opt.Observe, OnFirst: opt.OnFirst,
 	})
 	if err != nil {
@@ -437,64 +436,41 @@ func (d *Design) SelectPortfolio(ctx context.Context, requiredGain int64, opt Po
 // Reselect is the incremental re-solve of an interactive design loop:
 // apply delta to the problem prev was solved over (copy-on-write — the
 // shared analysis is never mutated and unchanged per-path coefficient
-// rows are reused by reference) and race the portfolio again. prev's
-// settled selection, re-priced under the edit, races as the seed
-// engine's candidate unless the edit made it infeasible. When prev was
-// proven optimal for its own requirement, neither opt.Warm nor
-// opt.PerPath replaces it, and the edit neither raises a gain nor
-// loosens a requirement, prev's area less the edit's IP-area cuts is
-// also a proven floor on the new optimum. Every engine solves the
-// edited problem from scratch, so correctness never depends on the
-// edit being small. A nil prev solves the delta-edited base problem
-// cold. Results chain: each Reselect solves over the previous result's
+// rows are reused by reference) and race the portfolio on the edited
+// problem, in SelectPortfolio's order. Only prev's analysis and
+// requirements carry over; opt.PerPath, when set, replaces prev's
+// per-path requirements before the delta applies. Every engine solves
+// the edited problem from scratch, so correctness never depends on the
+// edit being small. A nil prev solves the delta-edited base problem.
+// Results chain: each Reselect solves over the previous result's
 // derived analysis, so an edit session folds naturally.
 func (d *Design) Reselect(ctx context.Context, prev *PortfolioResult, delta Delta, opt PortfolioOptions) (res *PortfolioResult, err error) {
 	defer guard(&err)
 	an := d.selAnalysis()
-	var seed *Selection
 	p := selector.Problem{PerPath: opt.PerPath, Budget: opt.Budget}
 	if prev != nil {
 		if prev.an != nil {
 			an = prev.an
 		}
-		seed = prev.Sel
 		p.Required = prev.required
 		if p.PerPath == nil {
 			p.PerPath = prev.perPath
 		}
 	}
-	if opt.Warm != nil {
-		seed = opt.Warm
+	na, err := an.Apply(delta)
+	if err != nil {
+		return nil, err
 	}
-	// portfolio.Reselect takes an Optimal seed as the proven optimum of
-	// p over an. That holds only for prev's own settled selection under
-	// prev's own analysis and requirement; anything else races as a
-	// seed candidate only.
-	ownOptimum := prev != nil && prev.an != nil && opt.Warm == nil && opt.PerPath == nil
-	if seed != nil && seed.Status == Optimal && !ownOptimum {
-		cp := *seed
-		cp.Status = Feasible
-		seed = &cp
+	if p, err = na.ApplyProblem(delta, p); err != nil {
+		return nil, err
 	}
-	r, na, err := portfolio.Reselect(ctx, an, seed, delta, p, portfolio.Config{
+	r, err := portfolio.Run(ctx, na, p, portfolio.Config{
 		Gap: opt.Gap, OnIncumbent: opt.Observe, OnFirst: opt.OnFirst,
 	})
 	if err != nil {
 		return nil, err
 	}
-	p2 := p
-	if delta.Required != nil {
-		p2.Required = *delta.Required
-	}
-	out := wrapPortfolio(r, na, p2)
-	if len(delta.PathRequired) > 0 {
-		// The derived per-path vector lives in the problem Reselect
-		// built; recompute it for chaining.
-		if pp, perr := na.ApplyProblem(delta, p); perr == nil {
-			out.perPath = pp.PerPath
-		}
-	}
-	return out, nil
+	return wrapPortfolio(r, na, p), nil
 }
 
 // Simulate validates a selection on the cycle-level system model over

@@ -48,9 +48,9 @@ func sameAnswer(got, ref *Selection) string {
 // TestPortfolioSettlesOnExactSelection races the portfolio at gap 0 on
 // the GSM and JPEG encoders at 10–90% of reachable gain and asserts it
 // settles on SelectCtx's selection. From each of those answers it then
-// edits each chosen IP's area by +5% and asserts that the seeded
-// Reselect at gap 0.05 settles on the selection a cold Reselect finds
-// on a freshly analyzed design.
+// edits each chosen IP's area by +5% and asserts that the Reselect
+// chained from it at gap 0.05 settles on the selection a cold Reselect
+// finds on a freshly analyzed design.
 func TestPortfolioSettlesOnExactSelection(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -90,7 +90,7 @@ func TestPortfolioSettlesOnExactSelection(t *testing.T) {
 					}
 					edited[m.IP.ID] = true
 					delta := Delta{IPArea: map[string]float64{m.IP.ID: m.IP.Area * 1.05}, Required: &rg}
-					seeded, err := d.Reselect(ctx, base, delta, PortfolioOptions{Gap: 0.05})
+					chained, err := d.Reselect(ctx, base, delta, PortfolioOptions{Gap: 0.05})
 					if err != nil {
 						t.Fatalf("RG=%d, %s area edit: %v", rg, m.IP.ID, err)
 					}
@@ -98,12 +98,9 @@ func TestPortfolioSettlesOnExactSelection(t *testing.T) {
 					if err != nil {
 						t.Fatalf("RG=%d, %s area edit, cold: %v", rg, m.IP.ID, err)
 					}
-					if !seeded.Seeded || cold.Seeded {
-						t.Errorf("RG=%d, %s area edit: Seeded %v from prev, %v cold; want true, false", rg, m.IP.ID, seeded.Seeded, cold.Seeded)
-					}
-					if diff := sameAnswer(seeded.Sel, cold.Sel); diff != "" {
-						t.Errorf("RG=%d, %s area edit: seeded Reselect %s\n  seeded %v area %v gain %d\n  cold   %v area %v gain %d",
-							rg, m.IP.ID, diff, seeded.Sel.Status, seeded.Sel.Area, seeded.Sel.Gain, cold.Sel.Status, cold.Sel.Area, cold.Sel.Gain)
+					if diff := sameAnswer(chained.Sel, cold.Sel); diff != "" {
+						t.Errorf("RG=%d, %s area edit: chained Reselect %s\n  chained %v area %v gain %d\n  cold    %v area %v gain %d",
+							rg, m.IP.ID, diff, chained.Sel.Status, chained.Sel.Area, chained.Sel.Gain, cold.Sel.Status, cold.Sel.Area, cold.Sel.Gain)
 					}
 				}
 				edits += len(edited)
@@ -116,14 +113,13 @@ func TestPortfolioSettlesOnExactSelection(t *testing.T) {
 	}
 }
 
-// TestReselectFloorsOnlyFromOwnOptimum: Reselect may carry a proven
-// optimum over as an area floor only from prev's own solve, under
-// prev's own requirement. On the live GSM encoder, a Warm selection
-// proven at 50% of reachable gain and a 50% parent re-solved with
-// every path's requirement overridden to 10% must both settle on the
-// 10% optimum that SelectCtx and SelectPerPathCtx prove, not at the
-// 50% optimum's area.
-func TestReselectFloorsOnlyFromOwnOptimum(t *testing.T) {
+// TestReselectSolvesTheEditedProblem: Reselect solves the problem it
+// is given, not prev's. On the live GSM encoder, a re-solve at 10% of
+// reachable gain handed the 50% optimum as the deprecated Warm, and a
+// 50% parent re-solved with every path's requirement overridden to
+// 10%, must both settle on the 10% optimum that SelectCtx and
+// SelectPerPathCtx prove, not at the 50% optimum's area.
+func TestReselectSolvesTheEditedProblem(t *testing.T) {
 	ctx := context.Background()
 	d, _ := liveDesign(t, apps.GSMEncoderWorkload)
 	max := d.MaxReachableGain()
@@ -168,12 +164,29 @@ func TestReselectFloorsOnlyFromOwnOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if !res.Seeded {
-			t.Errorf("%s: race not marked Seeded", tc.name)
-		}
 		if diff := sameAnswer(res.Sel, tc.ref); diff != "" {
 			t.Errorf("%s: Reselect %s\n  reselect %v area %v gain %d\n  exact    %v area %v gain %d",
 				tc.name, diff, res.Sel.Status, res.Sel.Area, res.Sel.Gain, tc.ref.Status, tc.ref.Area, tc.ref.Gain)
+		}
+	}
+}
+
+// TestReselectRejectsBadDelta: unknown IDs and negative values error
+// without racing anything.
+func TestReselectRejectsBadDelta(t *testing.T) {
+	d, _ := liveDesign(t, apps.GSMEncoderWorkload)
+	neg := int64(-1)
+	bad := []Delta{
+		{IPArea: map[string]float64{"nope": 1}},
+		{IPArea: map[string]float64{d.DB.IMPs[0].IP.ID: -2}},
+		{IMPGain: map[string]int64{"nope": 1}},
+		{Required: &neg},
+		{PathRequired: map[int]int64{len(d.DB.Paths): 1}},
+	}
+	opt := PortfolioOptions{OnFirst: func(PortfolioAnswer) { t.Error("a bad delta started a race") }}
+	for i, delta := range bad {
+		if _, err := d.Reselect(context.Background(), nil, delta, opt); err == nil {
+			t.Errorf("delta %d: expected an error", i)
 		}
 	}
 }
